@@ -13,6 +13,7 @@ Exit codes: 0 success, 1 validation error, 2 numerical failure,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import datetime
 import json
 import os
@@ -38,33 +39,69 @@ def _fmt(value):
     return str(value)
 
 
+class _Table:
+    """Rows held column by column, for ``_emit``.
+
+    Each column is an array or list with one entry per row, or a scalar
+    that every row repeats.  ``len()`` is the number of rows.
+    """
+
+    def __init__(self, *columns):
+        self.columns = columns
+        self.n_rows = next(len(c) for c in columns if not np.isscalar(c))
+
+    def __len__(self):
+        return self.n_rows
+
+
+def _column_text(column, start, stop):
+    """Entries start..stop-1 of one column as ``_fmt`` writes them."""
+    if np.isscalar(column):
+        return [_fmt(column)] * (stop - start)
+    column = column[start:stop]
+    if isinstance(column, np.ndarray) and (
+            column.dtype.kind in "biuU" or column.dtype.kind == "f" and column.dtype.itemsize <= 8):
+        # tolist() yields Python floats, ints, bools and strs, whose text is _fmt's
+        return list(map(repr if column.dtype.kind == "f" else str, column.tolist()))
+    return [_fmt(v) for v in column]
+
+
+_BLOCK_ROWS = 1 << 14   # rows formatted at a time, bounding the text held in memory
+
+
+def _text_rows(rows):
+    """The text of every row, formatted column-wise a block of rows at a time."""
+    cols = rows.columns if isinstance(rows, _Table) else list(zip(*rows))
+    n = len(rows)
+    for start in range(0, n, _BLOCK_ROWS):
+        stop = min(start + _BLOCK_ROWS, n)
+        yield from zip(*(_column_text(c, start, stop) for c in cols))
+
+
 def _emit(args, columns, rows, suffix=""):
-    """Write a table as CSV or JSON to the output path (or stdout)."""
+    """Write a table as CSV or JSON to the output path (or stdout).
+
+    ``rows`` is a sequence of row tuples or a ``_Table``.
+    """
     out = args.output
     if out and suffix:
         root, ext = os.path.splitext(out)
         out = f"{root}.{suffix}{ext or '.csv'}"
-    lines = []
-    if args.format == "json":
-        payload = {"schema": SCHEMA_VERSION, "columns": list(columns),
-                   "rows": [[_fmt(v) for v in r] for r in rows]}
-        if not args.no_header:
-            payload["generated"] = datetime.datetime.now(datetime.timezone.utc).isoformat()
-        text = json.dumps(payload, indent=2) + "\n"
-    else:
+    with open(out, "w") if out else contextlib.nullcontext(sys.stdout) as fh:
+        if args.format == "json":
+            payload = {"schema": SCHEMA_VERSION, "columns": list(columns),
+                       "rows": list(map(list, _text_rows(rows)))}
+            if not args.no_header:
+                payload["generated"] = datetime.datetime.now(datetime.timezone.utc).isoformat()
+            json.dump(payload, fh, indent=2)
+            fh.write("\n")
+            return
         if not args.no_header:
             stamp = datetime.datetime.now(datetime.timezone.utc).isoformat()
-            lines.append(f"# generated: {stamp}")
-        lines.append(f"# {SCHEMA_VERSION}: {','.join(columns)}")
-        lines.append(",".join(columns))
-        for r in rows:
-            lines.append(",".join(_fmt(v) for v in r))
-        text = "\n".join(lines) + "\n"
-    if out:
-        with open(out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+            fh.write(f"# generated: {stamp}\n")
+        fh.write(f"# {SCHEMA_VERSION}: {','.join(columns)}\n")
+        fh.write(",".join(columns) + "\n")
+        fh.writelines(",".join(r) + "\n" for r in _text_rows(rows))
 
 
 def _parse_complex(s):
@@ -165,7 +202,7 @@ def _cmd_log_coeffs(args):
     rows = []
     for i in range(args.n_max):
         n = i + 1
-        theory = 1.0 / (2 * n * n) if args.kappa == 2.0 else float("nan")
+        theory = moments.log_coeff_sq_expectation(n) if args.kappa == 2.0 else float("nan")
         rows.append((n, stats.mean_gamma[i].real, stats.mean_gamma[i].imag,
                      stats.mean_sq[i], theory))
     _emit(args, ("n", "mean_re", "mean_im", "mean_sq", "theory"), rows)
@@ -191,11 +228,9 @@ def _cmd_spectrum(args):
     qs = args.q if isinstance(args.q, list) else [args.q]
     if not ps or len(ps) != len(qs):
         raise ConfigError("spectrum needs matching --p/--q lists")
-    rows = []
-    for p, q in zip(ps, qs):
-        res = spectrum.classify_mfold(p, q, args.kappa, args.m)
-        rows.append((p, q, args.kappa, args.m, res.region, res.beta))
-    _emit(args, _SPEC_COLS, rows)
+    res = spectrum.classify_mfold(np.asarray(ps, dtype=float), np.asarray(qs, dtype=float),
+                                  args.kappa, args.m)
+    _emit(args, _SPEC_COLS, _Table(ps, qs, args.kappa, args.m, res.region, res.beta))
     return 0
 
 
@@ -215,6 +250,11 @@ def _curve_params(kappa, n):
             "D1": line_p, "Delta1": line_p}
 
 
+def _grid(a, b):
+    """Every pair of entries of a and b, a varying slowest, as two flat arrays."""
+    return [c.ravel() for c in np.meshgrid(a, b, indexing="ij")]
+
+
 def _cmd_phase_diagram(args):
     sp = spectrum.special_points(args.kappa)
     p_lo = args.p_min if args.p_min is not None else sp.p0prime - 6
@@ -222,43 +262,33 @@ def _cmd_phase_diagram(args):
     q_lo = args.q_min if args.q_min is not None else sp.Q0[1] - 6
     q_hi = args.q_max if args.q_max is not None else sp.P0[1] + 6
     n = args.resolution
-    T = spectrum.mfold_map(args.m)
-    rows = []
-    for p in np.linspace(p_lo, p_hi, n):
-        # one boundary solve per grid column; points strictly below it are
-        # region IV without another bisection
-        qb = spectrum.lower_boundary_q(p, args.kappa)
-        for q in np.linspace(q_lo, q_hi, n):
-            qm = T(p, q)[1]
-            if qm < qb - spectrum.BOUNDARY_TOL:
-                rows.append((p, q, args.kappa, args.m, "IV",
-                             spectrum.beta_1(p, qm, args.kappa)))
-            else:
-                res = spectrum.classify_mfold(p, q, args.kappa, args.m)
-                rows.append((p, q, args.kappa, args.m, res.region, res.beta))
-    _emit(args, _SPEC_COLS, rows)
+    p, q = _grid(np.linspace(p_lo, p_hi, n), np.linspace(q_lo, q_hi, n))
+    res = spectrum.classify_mfold(p, q, args.kappa, args.m)
+    _emit(args, _SPEC_COLS, _Table(p, q, args.kappa, args.m, res.region, res.beta))
 
-    curve_rows = []
     Tinv = spectrum.mfold_map_inv(args.m)
-    for cid, params in _curve_params(args.kappa, args.curve_points).items():
-        for t in params:
-            cp, cq = spectrum.curve_eval(cid, args.kappa, t)
-            cp, cq = Tinv(cp, cq)
-            curve_rows.append((cid, t, cp, cq))
-    _emit(args, ("curve", "param", "p", "q"), curve_rows, suffix="curves")
+    names, params, cps, cqs = [], [], [], []
+    for cid, t in _curve_params(args.kappa, args.curve_points).items():
+        cp, cq = Tinv(*spectrum.curve_eval(cid, args.kappa, t))
+        names.append(np.full(t.shape, cid))
+        params.append(t)
+        cps.append(np.broadcast_to(cp, t.shape))
+        cqs.append(cq)
+    _emit(args, ("curve", "param", "p", "q"),
+          _Table(*map(np.concatenate, (names, params, cps, cqs))), suffix="curves")
     return 0
 
 
 def _cmd_xy_geometry(args):
-    rows = []
-    for x in np.linspace(0.01, 4 + args.kappa, args.resolution):
-        for y in np.linspace(0.01, args.kappa / 2 + 2, args.resolution):
-            p, q = spectrum.xy_inverse(x, y, args.kappa)
-            b1, b0, btip, blin = spectrum.xy_spectra(x, y, args.kappa)
-            rows.append((p, q, args.kappa, x, y, btip, b0, blin, b1,
-                         spectrum.quartic_hyperbola_residual(x, y, args.kappa)))
+    k = args.kappa
+    x, y = _grid(np.linspace(0.01, 4 + k, args.resolution),
+                 np.linspace(0.01, k / 2 + 2, args.resolution))
+    p, q = spectrum.xy_inverse(x, y, k)
+    b1, b0, btip, blin = spectrum.xy_spectra(x, y, k)
     _emit(args, ("p", "q", "kappa", "x", "y", "beta_tip", "beta_0",
-                 "beta_lin", "beta_1", "hyperbola_residual"), rows)
+                 "beta_lin", "beta_1", "hyperbola_residual"),
+          _Table(p, q, k, x, y, btip, b0, blin, b1,
+                spectrum.quartic_hyperbola_residual(x, y, k)))
     return 0
 
 

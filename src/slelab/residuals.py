@@ -312,7 +312,7 @@ def seed_systems(kappa, n_params=7):
     worst = 0.0
     disc_min = np.inf
     for g in np.linspace(1 + 2 / kappa, 1 + 2 / kappa + 3.0, n_params):
-        disc_min = min(disc_min, _quartic_gamma0(kappa, g) * 0 + _spec._quartic_disc(kappa, g))
+        disc_min = min(disc_min, _spec._quartic_disc(kappa, g))
         target = (4 + kappa) / 2 * g - kappa * g**2 - 1
 
         def eqn(g0):

@@ -10,11 +10,9 @@ hyperbola, and the conjectured universal-spectrum partition.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import lru_cache
+from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .flow import DomainError
 
@@ -57,7 +55,7 @@ CURVE_IDS = ("redParabola", "greenParabola", "blueQuartic",
 
 def _disc0(p, kappa):
     d = (4 + kappa) ** 2 - 8 * kappa * p
-    if d < 0:
+    if np.any(d < 0):
         raise DomainError(
             f"p={p} lies right of Delta_0 (p = (4+kappa)^2/8kappa); bulk/tip spectra undefined"
         )
@@ -82,7 +80,7 @@ def beta_lin(p, kappa):
 def beta_1(p, q, kappa):
     """Mixed spectrum 3p - 2q - 1/2 - sqrt(1 + 2 kappa (p - q))/2."""
     d = 1 + 2 * kappa * (p - q)
-    if d < 0:
+    if np.any(d < 0):
         raise DomainError(
             f"(p, q)=({p}, {q}) lies above Delta_1 (q = p + 1/2kappa); mixed spectrum undefined"
         )
@@ -218,36 +216,53 @@ def cartesian_residual(curve_id, kappa, p, q):
 # region classification
 
 
-@lru_cache(maxsize=64)
-def _check_monotone(kappa):
-    # the lower boundary inverts p(parameter) by bisection; both parametric
-    # abscissae must be monotone on their intervals
-    g = np.linspace(0.25 + 1 / kappa, 1 + 2 / kappa, 200)
-    pg = _green(kappa, g)[0]
-    assert np.all(np.diff(pg) < 1e-12), "green arc abscissa not monotone"
-    g = np.linspace(1 + 2 / kappa, 1 + 2 / kappa + 50, 400)
-    pq = _quartic(kappa, g)[0]
-    assert np.all(np.diff(pq) < 1e-12), "quartic branch abscissa not monotone"
-    return True
+def _quartic_param(p, kappa):
+    """Parameters g >= 1 + 2/kappa at which the quartic has abscissae p < p0'.
+
+    On g >= 1 + 2/kappa the abscissa is decreasing and concave in g (the
+    square root of the positive-definite quadratic disc is convex), so
+    Newton's method started right of the root descends monotonically onto
+    it.  Doubling the distance from 1 + 2/kappa finds such a start.  An
+    entry stops moving once its own step is negligible, so each result
+    depends on its own p alone.
+    """
+    g_lo = 1 + 2 / kappa
+    g = np.full(p.shape, g_lo + 1.0)
+    while True:
+        short = _quartic(kappa, g)[0] > p
+        if not short.any():
+            break
+        g[short] = g_lo + 2 * (g[short] - g_lo)
+    done = np.zeros(p.shape, dtype=bool)
+    for _ in range(50):
+        root = np.sqrt(_quartic_disc(kappa, g))
+        df = 1 + kappa / 4 - kappa * g - (8 * kappa**2 * g - 2 * kappa * (4 + kappa)) / (16 * root)
+        step = np.where(done, 0.0, (_quartic(kappa, g)[0] - p) / df)
+        g = g - step
+        done |= np.abs(step) <= 1e-13 * g
+        if done.all():
+            return g
+    raise DomainError(f"quartic branch inversion did not converge for kappa={kappa}")
 
 
 def lower_boundary_q(p, kappa):
-    """Ordinate of the composite lower boundary (quartic / green arc / D1)."""
-    _check_monotone(kappa)
-    p0 = p0_of(kappa)
+    """Ordinate of the composite lower boundary (quartic / green arc / D1).
+
+    p may be an array.  Right of D0 the boundary is the line D1; on
+    [p0', p0) it is the green arc p = v - (kappa/2) g^2, inverted in closed
+    form; left of D0' it is the quartic branch, inverted by Newton's method.
+    """
+    p = np.asarray(p, dtype=float)
+    flat = p.ravel()
     p0p = p0prime_of(kappa)
-    if p >= p0:
-        return p + d1_offset(kappa)
-    eps = 1e-9   # bracket slack absorbing roundoff at the segment corners
-    if p >= p0p:
-        g = brentq(lambda t: _green(kappa, t)[0] - p,
-                   0.25 + 1 / kappa - eps, 1 + 2 / kappa + eps, xtol=1e-14)
-        return _green(kappa, g)[1]
-    hi = 1 + 2 / kappa + 1.0
-    while _quartic(kappa, hi)[0] > p:
-        hi = 1 + 2 / kappa + 2 * (hi - 1 - 2 / kappa)
-    g = brentq(lambda t: _quartic(kappa, t)[0] - p, 1 + 2 / kappa - eps, hi, xtol=1e-14)
-    return _quartic(kappa, g)[1]
+    qb = flat + d1_offset(kappa)
+    arc = (flat >= p0p) & (flat < p0_of(kappa))
+    v = (4 + kappa) ** 2 / (8 * kappa)
+    qb[arc] = _green(kappa, np.sqrt(2 * (v - flat[arc]) / kappa))[1]
+    quartic = flat < p0p
+    if quartic.any():
+        qb[quartic] = _quartic(kappa, _quartic_param(flat[quartic], kappa))[1]
+    return qb.reshape(p.shape)[()]
 
 
 @dataclass(frozen=True)
@@ -262,38 +277,52 @@ class SpectrumPoint:
     regions: tuple = ()    # adjacent regions when on a separatrix
 
 
+# each region's spectrum, as a function of (p, q, kappa)
+_REGION_BETA = {
+    "I": lambda p, q, kappa: beta_tip(p, kappa),
+    "II": lambda p, q, kappa: beta_0(p, kappa),
+    "III": lambda p, q, kappa: beta_lin(p, kappa),
+    "IV": beta_1,
+}
+
+
 def classify(p, q, kappa) -> SpectrumPoint:
-    """Region label and spectrum value at (p, q)."""
-    qb = lower_boundary_q(p, kappa)
+    """Region label and spectrum value at (p, q).
+
+    p and q may be arrays, broadcast together.  The result then holds
+    arrays of their common shape in ``region``, ``beta`` and ``boundary``,
+    and ``regions`` gains a trailing axis of length 2 that holds the two
+    adjacent regions on a separatrix and empty strings elsewhere.
+    """
+    pa, qa = np.broadcast_arrays(np.asarray(p, dtype=float), np.asarray(q, dtype=float))
+    qb = lower_boundary_q(pa, kappa)
     p0 = p0_of(kappa)
     p0p = p0prime_of(kappa)
 
-    if p <= p0p:
-        upper, upper_beta = "I", beta_tip
-    elif p <= p0:
-        upper, upper_beta = "II", beta_0
-    else:
-        upper, upper_beta = "III", lambda pp, kk: beta_lin(pp, kk)
+    upper = np.where(pa <= p0p, "I", np.where(pa <= p0, "II", "III"))
+    on_lower = np.abs(qa - qb) < BOUNDARY_TOL
+    lower = on_lower | (qa < qb)
+    on_d0p = ~lower & (np.abs(pa - p0p) < BOUNDARY_TOL)
+    on_d0 = ~lower & ~on_d0p & (np.abs(pa - p0) < BOUNDARY_TOL)
+    region = np.where(lower, "IV", np.where(on_d0p, "I", np.where(on_d0, "II", upper)))
 
-    on_lower = abs(q - qb) < BOUNDARY_TOL
-    on_d0p = abs(p - p0p) < BOUNDARY_TOL and q > qb
-    on_d0 = abs(p - p0) < BOUNDARY_TOL and q > qb
+    # each formula only where its region lies, inside its domain
+    beta = np.empty(pa.shape)
+    for name, formula in _REGION_BETA.items():
+        sel = region == name
+        if sel.any():
+            beta[sel] = formula(pa[sel], qa[sel], kappa)
 
-    if on_lower:
-        b = beta_1(p, q, kappa)
-        return SpectrumPoint(p, q, kappa, region="IV", beta=b,
-                             boundary=True, regions=("IV", upper))
-    if q < qb:
-        return SpectrumPoint(p, q, kappa, region="IV", beta=beta_1(p, q, kappa))
-    if on_d0p:
-        b = beta_tip(p, kappa)
-        return SpectrumPoint(p, q, kappa, region="I", beta=b,
-                             boundary=True, regions=("I", "II"))
-    if on_d0:
-        b = beta_0(p, kappa)
-        return SpectrumPoint(p, q, kappa, region="II", beta=b,
-                             boundary=True, regions=("II", "III"))
-    return SpectrumPoint(p, q, kappa, region=upper, beta=float(upper_beta(p, kappa)))
+    boundary = on_lower | on_d0p | on_d0
+    across = np.where(on_lower, upper, np.where(on_d0p, "II", np.where(on_d0, "III", "")))
+    regions = np.stack([np.where(boundary, region, ""), across], axis=-1)
+
+    if region.ndim:
+        return SpectrumPoint(p, q, kappa, region=region, beta=beta,
+                             boundary=boundary, regions=regions)
+    return SpectrumPoint(p, q, kappa, region=str(region), beta=float(beta),
+                         boundary=bool(boundary),
+                         regions=tuple(map(str, regions)) if boundary else ())
 
 
 # ---------------------------------------------------------------------------
@@ -324,17 +353,18 @@ def mfold_map_inv(m):
 def beta_m(p, q, kappa, m):
     """Region-IV spectrum of the m-fold transform."""
     d = 1 + (2 * kappa / m) * (p - q)
-    if d < 0:
+    if np.any(d < 0):
         raise DomainError("m-fold mixed spectrum undefined here")
     return (1 + 2 / m) * p - (2 / m) * q - 0.5 - 0.5 * np.sqrt(d)
 
 
 def classify_mfold(p, q, kappa, m) -> SpectrumPoint:
-    """Phase diagram of the m-fold transform: classify at (p, q_m)."""
-    pm, qm = mfold_map(m)(p, q)
-    res = classify(pm, qm, kappa)
-    return SpectrumPoint(p, q, kappa, region=res.region, beta=res.beta, m=m,
-                         boundary=res.boundary, regions=res.regions)
+    """Phase diagram of the m-fold transform: classify at (p, q_m).
+
+    p and q may be arrays, as in ``classify``.
+    """
+    pm, qm = mfold_map(m)(np.asarray(p, dtype=float), np.asarray(q, dtype=float))
+    return replace(classify(pm, qm, kappa), p=p, q=q, m=m)
 
 
 # ---------------------------------------------------------------------------
@@ -345,7 +375,7 @@ def xy_forward(p, q, kappa):
     """x = sqrt((4+kappa)^2 - 8 kappa p), y = sqrt(1 + 2 kappa (p - q))."""
     dx = (4 + kappa) ** 2 - 8 * kappa * p
     dy = 1 + 2 * kappa * (p - q)
-    if dx <= 0 or dy <= 0:
+    if np.any(dx <= 0) or np.any(dy <= 0):
         raise DomainError(f"(p, q)=({p}, {q}) outside the sector S_kappa")
     return np.sqrt(dx), np.sqrt(dy)
 

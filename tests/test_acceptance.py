@@ -55,6 +55,7 @@ def circle_ensemble():
     return sample_ensemble(cfg, circle_points(0.6, 8), N_MC, paths_per_stream=2000)
 
 
+@pytest.mark.slow
 def test_criterion_1_closed_form_moduli(kappa2_ensemble, kappa6_ensemble):
     checks = []
     est = estimate_moduli(kappa2_ensemble, 2.0, 2.0, 0.5)
@@ -72,6 +73,7 @@ def test_criterion_1_closed_form_moduli(kappa2_ensemble, kappa6_ensemble):
     _verdict(1, "closed-form moduli moments at z=0.5", all(checks), detail)
 
 
+@pytest.mark.slow
 def test_criterion_2_complex_one_point(kappa2_ensemble):
     checks, worst = [], 0.0
     for z in (0.3, 0.5, 0.3 + 0.3j):
@@ -84,6 +86,7 @@ def test_criterion_2_complex_one_point(kappa2_ensemble):
              f"worst componentwise err={worst:.2e}")
 
 
+@pytest.mark.slow
 def test_criterion_3_log_coefficients(circle_ensemble):
     stats = extract_log_coeffs(circle_ensemble, n_max=2, M=8)
     checks = []

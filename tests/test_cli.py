@@ -1,5 +1,6 @@
 """Tests for the batch command-line front-end."""
 
+import argparse
 import json
 
 import numpy as np
@@ -196,3 +197,69 @@ class TestOtherCommands:
         cols, rows = read_table(out)
         assert cols == ["T", "estimate", "stderr"]
         assert len(rows) == 2
+
+
+# one value of each kind _emit must write: floats as repr(float(v)), integers
+# as str(int(v)), anything else as str(v)
+_MIXED = [np.float64(0.1), np.float32(0.1), 0.1, 3, np.int64(-7), "IV", float("nan"),
+          float("inf"), -np.inf, -0.0, 5e-324, np.float64(2.5e-310), np.uint8(200), True]
+
+
+def _expected_text(v):
+    if isinstance(v, (float, np.floating)):
+        return repr(float(v))
+    if isinstance(v, (int, np.integer)):
+        return str(int(v))
+    return str(v)
+
+
+class TestEmit:
+    def emit(self, tmp_path, fmt, columns, rows):
+        out = tmp_path / f"t.{fmt}"
+        cli._emit(argparse.Namespace(output=str(out), format=fmt, no_header=True),
+                  columns, rows)
+        return out.read_text()
+
+    def tables(self):
+        """The same rows as row tuples and as column arrays with scalars."""
+        cols = ("f64", "f32", "py", "i", "i64", "s", "mixed", "k")
+        n = len(_MIXED)
+        f64 = np.array([0.1, -0.0, np.nan, np.inf, -np.inf, 5e-324, 1e300, 2.5e-310,
+                        1 / 3, -2.0, 7.0, 0.0, 123456789.125, 1e-7])
+        f32 = np.array([0.3, -0.0, np.nan, np.inf, -np.inf, 1e-45, 3e38, 1e-40,
+                        1 / 3, -2.0, 7.0, 0.0, 16777217.0, 1e-7], dtype=np.float32)
+        py = [float(v) for v in f64[::-1]]
+        ints = list(range(-5, n - 5))
+        i64 = np.arange(n, dtype=np.int64) * 10**15
+        strs = np.array(["I", "II", "III", "IV", "", "x"] * 3)[:n]
+        table = cli._Table(f64, f32, py, ints, i64, strs, _MIXED, 6.0)
+        rows = [tuple(c[i] for c in (f64, f32, py, ints, i64, strs, _MIXED)) + (6.0,)
+                for i in range(n)]
+        want = [[_expected_text(v) for v in r] for r in rows]
+        return cols, table, rows, want
+
+    def test_csv_text(self, tmp_path):
+        cols, table, rows, want = self.tables()
+        text = "".join(f"{line}\n" for line in
+                       [f"# {cli.SCHEMA_VERSION}: {','.join(cols)}", ",".join(cols)]
+                       + [",".join(r) for r in want])
+        assert self.emit(tmp_path, "csv", cols, rows) == text
+        assert self.emit(tmp_path, "csv", cols, table) == text
+
+    def test_json_text(self, tmp_path):
+        cols, table, rows, want = self.tables()
+        text = json.dumps({"schema": cli.SCHEMA_VERSION, "columns": list(cols),
+                           "rows": want}, indent=2) + "\n"
+        assert self.emit(tmp_path, "json", cols, rows) == text
+        assert self.emit(tmp_path, "json", cols, table) == text
+
+    def test_empty_table(self, tmp_path):
+        assert self.emit(tmp_path, "csv", ("a", "b"), []) == \
+            f"# {cli.SCHEMA_VERSION}: a,b\na,b\n"
+        assert json.loads(self.emit(tmp_path, "json", ("a",), []))["rows"] == []
+
+    def test_rows_span_blocks(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "_BLOCK_ROWS", 3)
+        x = np.linspace(0.0, 1.0, 10)
+        text = self.emit(tmp_path, "csv", ("x", "m"), cli._Table(x, 2))
+        assert text.splitlines()[2:] == [f"{v!r},2" for v in x.tolist()]

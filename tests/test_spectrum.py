@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import brentq
 
 from slelab import spectrum as sp
 from slelab.flow import DomainError
@@ -59,7 +60,6 @@ class TestSpecialPoints:
         for kappa in (2.0, 6.0, 50.0):
             s = sp.special_points(kappa)
             # find the green parameter with q = 0 near the lower arc
-            from scipy.optimize import brentq
             g = brentq(lambda t: sp.curve_eval("greenParabola", kappa, t)[1],
                        1e-9, 10 / np.sqrt(kappa) + 3, xtol=1e-15)
             p_on = sp.curve_eval("greenParabola", kappa, g)[0]
@@ -151,6 +151,100 @@ class TestClassify:
                 assert abs(left - right) < 1e-6
 
 
+def _oracle_lower_boundary(p, kappa):
+    """The lower boundary by bracketed root-finding on the parametric curves."""
+    if p >= sp.p0_of(kappa):
+        return p + sp.d1_offset(kappa)
+    g_hi = 1 + 2 / kappa
+    if p >= sp.p0prime_of(kappa):
+        curve, lo, hi = "greenParabola", 0.25 + 1 / kappa - 1e-9, g_hi + 1e-9
+    else:
+        curve, lo, hi = "blueQuartic", g_hi - 1e-9, g_hi + 1.0
+        while sp.curve_eval(curve, kappa, hi)[0] > p:
+            hi = g_hi + 2 * (hi - g_hi)
+    g = brentq(lambda t: sp.curve_eval(curve, kappa, t)[0] - p, lo, hi, xtol=1e-15)
+    return sp.curve_eval(curve, kappa, g)[1]
+
+
+class TestLowerBoundaryArrays:
+    @pytest.mark.parametrize("kappa", [0.5, 2.0, 6.0, 50.0])
+    def test_matches_brentq_oracle(self, kappa):
+        s = sp.special_points(kappa)
+        corners = [s.p0prime, s.p0, np.nextafter(s.p0prime, -np.inf),
+                   np.nextafter(s.p0, -np.inf), s.p0prime - 1e-9, s.p0 - 1e-9]
+        ps = np.concatenate([np.linspace(s.p0prime - 60, s.p0 + 5, 157), corners])
+        qb = sp.lower_boundary_q(ps, kappa)
+        assert qb.shape == ps.shape
+        for p, q in zip(ps, qb):
+            want = _oracle_lower_boundary(p, kappa)
+            assert abs(q - want) <= 1e-12 * max(1.0, abs(want)), (p, q, want)
+        assert abs(sp.lower_boundary_q(s.p0prime, kappa) - s.Q0[1]) < 1e-12 * max(1, abs(s.Q0[1]))
+        assert abs(sp.lower_boundary_q(s.p0, kappa) - s.P0[1]) < 1e-12 * max(1, abs(s.P0[1]))
+
+    def test_shape_and_scalar_agree(self):
+        ps = np.linspace(-12.0, 4.0, 24).reshape(4, 6)
+        qb = sp.lower_boundary_q(ps, 6.0)
+        assert qb.shape == (4, 6)
+        assert np.ndim(sp.lower_boundary_q(-3.0, 6.0)) == 0
+        assert all(sp.lower_boundary_q(p, 6.0) == q for p, q in zip(ps.ravel(), qb.ravel()))
+
+    def test_non_finite_quartic_input_raises(self):
+        with np.errstate(all="ignore"), pytest.raises(DomainError):
+            sp.lower_boundary_q(-np.inf, 6.0)
+
+    @given(st.floats(min_value=0.1, max_value=50.0), st.floats(min_value=0.01, max_value=100.0))
+    @settings(max_examples=150, deadline=None)
+    def test_quartic_abscissa_decreasing_and_concave(self, kappa, span):
+        # the Newton inversion of the quartic branch relies on both
+        g = 1 + 2 / kappa + np.linspace(0.0, span, 400)
+        p = sp.curve_eval("blueQuartic", kappa, g)[0]
+        assert abs(p[0] - sp.p0prime_of(kappa)) < 1e-12 * max(1.0, abs(p[0]))
+        assert np.all(np.diff(p) < 0)
+        assert np.all(np.diff(p, 2) <= 1e-12 * np.max(np.abs(p)))
+
+
+def _near_separatrices(kappa):
+    """Base-plane points on, and within 1e-9 of, every separatrix, plus a grid."""
+    s = sp.special_points(kappa)
+    pts = []
+    for p in np.concatenate([np.linspace(s.p0prime - 4, s.p0 + 4, 21), [s.p0prime, s.p0]]):
+        qb = sp.lower_boundary_q(p, kappa)
+        pts += [(p, qb + d) for d in (-1e-9, -1e-11, 0.0, 1e-11, 1e-9)]
+    for pj in (s.p0prime, s.p0):
+        for q in (s.P0[1] + 0.5, s.P0[1] + 3.0, 0.0):
+            pts += [(pj + d, q) for d in (-1e-9, -1e-11, 0.0, 1e-11, 1e-9)]
+    gp, gq = np.meshgrid(np.linspace(s.p0prime - 5, s.p0 + 5, 31),
+                         np.linspace(s.Q0[1] - 5, s.P0[1] + 5, 29), indexing="ij")
+    pts += list(zip(gp.ravel(), gq.ravel()))
+    return np.array(pts).T
+
+
+class TestClassifyArrays:
+    @pytest.mark.parametrize("kappa", [0.5, 6.0, 50.0])
+    @pytest.mark.parametrize("m", [1, 3, -2])
+    def test_array_equals_scalar_calls(self, kappa, m):
+        p, qm = _near_separatrices(kappa)
+        q = sp.mfold_map_inv(m)(p, qm)[1]
+        res = sp.classify_mfold(p, q, kappa, m) if m != 1 else sp.classify(p, q, kappa)
+        assert res.region.shape == res.beta.shape == res.boundary.shape == p.shape
+        assert res.regions.shape == p.shape + (2,)
+        for i in range(p.size):
+            one = (sp.classify_mfold(p[i], q[i], kappa, m) if m != 1
+                   else sp.classify(p[i], q[i], kappa))
+            assert res.region[i] == one.region
+            assert res.beta[i] == one.beta
+            assert res.boundary[i] == one.boundary
+            assert tuple(res.regions[i]) == (one.regions or ("", ""))
+        # every region and both kinds of boundary occur
+        assert set(res.region) == {"I", "II", "III", "IV"}
+        assert {tuple(r) for r in res.regions[res.boundary]} >= {("I", "II"), ("II", "III")}
+
+    def test_scalar_result_types(self):
+        res = sp.classify(1.0, 1.0, 6.0)
+        assert res == sp.SpectrumPoint(1.0, 1.0, 6.0, region="II", beta=res.beta)
+        assert type(res.region) is str and type(res.beta) is float
+
+
 class TestMfoldDiagram:
     def test_map_roundtrip(self):
         T, Tinv = sp.mfold_map(3), sp.mfold_map_inv(3)
@@ -190,7 +284,6 @@ class TestMfoldDiagram:
         kappa = 6.0
         Tinv = sp.mfold_map_inv(-1)
         s = sp.special_points(kappa)
-        from scipy.optimize import brentq
 
         def q_of(t):
             return Tinv(*sp.curve_eval("greenParabola", kappa, t))[1]
@@ -228,6 +321,14 @@ class TestXYGeometry:
     def test_outside_sector_rejected(self):
         with pytest.raises(DomainError):
             sp.xy_forward(20.0, 0.0, 6.0)
+        with pytest.raises(DomainError):
+            sp.xy_forward(np.array([0.0, 20.0]), np.zeros(2), 6.0)
+
+    def test_array_inputs(self):
+        p, q = np.array([0.0, 1.0, -2.0]), np.array([0.0, -1.0, -2.5])
+        x, y = sp.xy_forward(p, q, 6.0)
+        assert [(a, b) for a, b in zip(x, y)] == [sp.xy_forward(a, b, 6.0) for a, b in zip(p, q)]
+        assert list(sp.beta_m(p, q, 6.0, 3)) == [sp.beta_m(a, b, 6.0, 3) for a, b in zip(p, q)]
 
     @given(kappas, st.floats(min_value=-4, max_value=1.0),
            st.floats(min_value=0.05, max_value=3.0))
