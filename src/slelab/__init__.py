@@ -20,7 +20,6 @@ from .flow import (
     refine_driver,
     sample_driver,
     sample_ensemble,
-    stationarity_diagnostic,
     whole_plane_sample,
 )
 from .moments import (
@@ -45,6 +44,7 @@ from .moments import (
     parabola_gamma,
     parabola_gamma_from_pq,
     parabola_point,
+    stationarity_diagnostic,
 )
 from .spectrum import (
     SpecialPoints,

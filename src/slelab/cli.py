@@ -69,13 +69,41 @@ def _column_text(column, start, stop):
 _BLOCK_ROWS = 1 << 14   # rows formatted at a time, bounding the text held in memory
 
 
-def _text_rows(rows):
-    """The text of every row, formatted column-wise a block of rows at a time."""
+def _text_blocks(rows):
+    """The text of every row, formatted column-wise: one list of row tuples
+    per block of rows."""
     cols = rows.columns if isinstance(rows, _Table) else list(zip(*rows))
     n = len(rows)
     for start in range(0, n, _BLOCK_ROWS):
         stop = min(start + _BLOCK_ROWS, n)
-        yield from zip(*(_column_text(c, start, stop) for c in cols))
+        yield list(zip(*(_column_text(c, start, stop) for c in cols)))
+
+
+def _json_array(items, depth):
+    """A list of encoded JSON values as ``json.dump(indent=2)`` writes it at
+    nesting ``depth``."""
+    items = list(items)
+    if not items:
+        return "[]"
+    pad = "\n" + "  " * depth
+    return "[" + pad + "  " + ("," + pad + "  ").join(items) + pad + "]"
+
+
+def _write_json(fh, columns, rows, generated):
+    """The text of ``json.dump(payload, fh, indent=2)`` for the payload
+    {"schema", "columns", "rows" (each row a list of cell strings) and,
+    when given, "generated"}, written a block of rows at a time."""
+    enc = json.encoder.encode_basestring_ascii
+    fh.write(f'{{\n  "schema": {enc(SCHEMA_VERSION)},\n'
+             f'  "columns": {_json_array(map(enc, columns), 1)},\n  "rows": [')
+    sep = "\n    "
+    for block in _text_blocks(rows):
+        fh.write(sep + ",\n    ".join(_json_array(map(enc, r), 2) for r in block))
+        sep = ",\n    "
+    fh.write("\n  ]" if len(rows) else "]")
+    if generated is not None:
+        fh.write(f',\n  "generated": {enc(generated)}')
+    fh.write("\n}\n")
 
 
 def _emit(args, columns, rows, suffix=""):
@@ -88,20 +116,18 @@ def _emit(args, columns, rows, suffix=""):
         root, ext = os.path.splitext(out)
         out = f"{root}.{suffix}{ext or '.csv'}"
     with open(out, "w") if out else contextlib.nullcontext(sys.stdout) as fh:
-        if args.format == "json":
-            payload = {"schema": SCHEMA_VERSION, "columns": list(columns),
-                       "rows": list(map(list, _text_rows(rows)))}
-            if not args.no_header:
-                payload["generated"] = datetime.datetime.now(datetime.timezone.utc).isoformat()
-            json.dump(payload, fh, indent=2)
-            fh.write("\n")
-            return
+        stamp = None
         if not args.no_header:
             stamp = datetime.datetime.now(datetime.timezone.utc).isoformat()
+        if args.format == "json":
+            _write_json(fh, columns, rows, stamp)
+            return
+        if stamp is not None:
             fh.write(f"# generated: {stamp}\n")
         fh.write(f"# {SCHEMA_VERSION}: {','.join(columns)}\n")
         fh.write(",".join(columns) + "\n")
-        fh.writelines(",".join(r) + "\n" for r in _text_rows(rows))
+        for block in _text_blocks(rows):
+            fh.write("".join(",".join(r) + "\n" for r in block))
 
 
 def _parse_complex(s):
@@ -343,8 +369,8 @@ def _cmd_diagnose(args):
     cfg = _sim_config(args)
     z = _parse_complex(args.z[0]) if args.z else 0.5 + 0j
     T_list = sorted(args.T_list) if args.T_list else [2.0, 4.0, 6.0, 8.0]
-    rows = flow.stationarity_diagnostic(cfg, z, T_list, args.n_samples,
-                                        p=args.p, q=args.q, workers=_workers(args))
+    rows = moments.stationarity_diagnostic(cfg, z, T_list, args.n_samples,
+                                           p=args.p, q=args.q, workers=_workers(args))
     _emit(args, ("T", "estimate", "stderr"), rows)
     return 0
 

@@ -30,7 +30,6 @@ __all__ = [
     "evolve",
     "whole_plane_sample",
     "sample_ensemble",
-    "stationarity_diagnostic",
     "dump_samples_csv",
 ]
 
@@ -164,7 +163,9 @@ class FlowStates:
 
     Arrays have shape (n_paths, n_points): ``w`` is the flow image,
     ``logderiv`` the tracked branch of log of the spatial derivative,
-    ``logratio`` the tracked branch of log(w / z0).
+    ``logratio`` the tracked branch of log(w / z0).  ``substeps`` counts
+    the RK4 sub-steps taken by the whole batch: ``n_steps`` when no step
+    was split.
     """
 
     z0: np.ndarray
@@ -172,33 +173,77 @@ class FlowStates:
     logderiv: np.ndarray
     logratio: np.ndarray
     t: float
+    substeps: int
 
 
 # minimum admissible distance to the driving point before aborting
 _W_LAMBDA_FLOOR = 1e-13
 # slack allowed on the exact monotone decrease of |w|
 _MONOTONE_SLACK = 1e-9
+# macro steps whose driving points are computed together; each buffer of
+# them holds (_BLOCK_STEPS + 1) * n_paths complex values, about 1 MB at
+# 1000 paths
+_BLOCK_STEPS = 64
 
 
-def _drift(w, lam):
-    d = w - lam
-    inv = 1.0 / d
-    s = (w + lam) * inv
-    dw = w * s
-    dlogderiv = s - 2.0 * lam * w * inv * inv
-    return dw, dlogderiv, s
+def _unit(theta):
+    """exp(1j * theta), from cos and sin (the same bits, at about half the cost)."""
+    lam = np.empty(np.shape(theta), dtype=complex)
+    np.cos(theta, out=lam.real)
+    np.sin(theta, out=lam.imag)
+    return lam
+
+
+def _stage(wi, lam, tmp):
+    """a = lam / (wi - lam) and the drift wi (1 + 2a) of w at one RK4 stage.
+
+    NumPy rounds a complex product whose output is one of its inputs
+    without the fused multiply-add of its other loops, for some array
+    lengths, so every complex product goes to a fresh array: a path then
+    gives the same bits alone and in any batch.
+    """
+    np.subtract(wi, lam, out=tmp)
+    a = np.divide(lam, tmp)
+    np.add(a, a, out=tmp)
+    k = np.multiply(tmp, wi)
+    k += wi
+    return a, k
 
 
 def _rk4_substep(w, ld, lr, lam0, lam_half, lam1, h):
-    k1w, k1d, k1r = _drift(w, lam0)
-    k2w, k2d, k2r = _drift(w + 0.5 * h * k1w, lam_half)
-    k3w, k3d, k3r = _drift(w + 0.5 * h * k2w, lam_half)
-    k4w, k4d, k4r = _drift(w + h * k3w, lam1)
-    c = h / 6.0
-    w = w + c * (k1w + 2 * k2w + 2 * k3w + k4w)
-    ld = ld + c * (k1d + 2 * k2d + 2 * k3d + k4d)
-    lr = lr + c * (k1r + 2 * k2r + 2 * k3r + k4r)
-    return w, ld, lr
+    """One RK4 step of length h; returns the new (w, logderiv, logratio).
+
+    With a = lam/(w - lam) the flow reads dw/dt = w (1 + 2a),
+    d logderiv/dt = 1 - 2a^2 and d logratio/dt = 1 + 2a, so the two log
+    increments are h -/+ (h/3) times the RK4-weighted sums of a^2 and a.
+    """
+    tmp = np.empty_like(w)
+    a1, k1 = _stage(w, lam0, tmp)
+    a2, k2 = _stage(k1 * (h / 2) + w, lam_half, tmp)
+    a3, k3 = _stage(k2 * (h / 2) + w, lam_half, tmp)
+    a4, k4 = _stage(k3 * h + w, lam1, tmp)
+    k2 += k3
+    k2 += k2
+    k1 += k2
+    k1 += k4
+    k1 *= h / 6
+    k1 += w                                   # w + h/6 (k1 + 2 k2 + 2 k3 + k4)
+    sq = np.square(a2)
+    sq += np.square(a3, out=tmp)
+    sq += sq
+    sq += np.square(a1, out=tmp)
+    sq += np.square(a4, out=tmp)
+    sq *= -h / 3
+    sq += h
+    sq += ld                                  # ld + h - h/3 (a1^2 + 2 a2^2 + 2 a3^2 + a4^2)
+    a2 += a3
+    a2 += a2
+    a2 += a1
+    a2 += a4
+    a2 *= h / 3
+    a2 += h
+    a2 += lr                                  # lr + h + h/3 (a1 + 2 a2 + 2 a3 + a4)
+    return k1, sq, a2
 
 
 def evolve(path: DrivingPath, cfg: SimConfig, points) -> FlowStates:
@@ -208,6 +253,10 @@ def evolve(path: DrivingPath, cfg: SimConfig, points) -> FlowStates:
     lam(t) = exp(i theta(t)), theta linearly interpolated inside each
     Brownian step; the log-derivative and log-ratio are integrated
     alongside so no complex logarithm is ever taken.
+
+    Each macro step is one RK4 step, unless the batch comes within
+    ``singular_delta`` of the driving point: the step is then split into
+    sub-steps shrinking with the square of the batch-wide min |w - lam|.
     """
     z0 = np.asarray(points, dtype=complex).reshape(-1)
     if np.any(np.abs(z0) > cfg.r_max + 1e-12):
@@ -221,35 +270,54 @@ def evolve(path: DrivingPath, cfg: SimConfig, points) -> FlowStates:
     w = np.broadcast_to(z0, (n_paths, z0.size)).astype(complex).copy()
     ld = np.zeros_like(w)
     lr = np.zeros_like(w)
+    absw = np.abs(w)
     delta = cfg.singular_delta
-
     n_steps = len(t) - 1
-    for k in range(n_steps):
-        t0, t1 = t[k], t[k + 1]
-        th0 = th[:, k, None]
-        slope = (th[:, k + 1, None] - th0) / (t1 - t0)
-        elapsed = 0.0
-        macro = t1 - t0
-        while elapsed < macro - 1e-15:
-            absw = np.abs(w)
-            dmin = float(np.min(np.abs(w - np.exp(1j * (th0 + slope * elapsed)))))
-            if dmin < _W_LAMBDA_FLOOR:
-                raise SingularityError(
-                    "flow point collided with the driving singularity", t=t0 + elapsed
-                )
-            h = macro if dmin >= delta else macro * min(1.0, (dmin / delta) ** 2)
-            h = min(h, macro - elapsed)
-            lam0 = np.exp(1j * (th0 + slope * elapsed))
-            lam_half = np.exp(1j * (th0 + slope * (elapsed + h / 2)))
-            lam1 = np.exp(1j * (th0 + slope * (elapsed + h)))
-            w, ld, lr = _rk4_substep(w, ld, lr, lam0, lam_half, lam1, h)
-            if not np.all(np.abs(w) <= absw + _MONOTONE_SLACK):
-                raise SingularityError(
-                    "|w| failed to decrease; integrator step rejected", t=t0 + elapsed
-                )
-            elapsed += h
+    # The monotone check below keeps |w| <= max|z0| + n_steps * slack, and
+    # |w - lam| >= 1 - |w|: when that stays >= delta no step can be split,
+    # and the batch-wide distance to the driving point need not be scanned.
+    scan = 1.0 - np.max(np.abs(z0), initial=0.0) - n_steps * _MONOTONE_SLACK < delta
+    substeps = 0
 
-    return FlowStates(z0=z0, w=w, logderiv=ld, logratio=lr, t=cfg.horizon_T)
+    for b0 in range(0, n_steps, _BLOCK_STEPS):
+        b1 = min(b0 + _BLOCK_STEPS, n_steps)
+        dt = np.diff(t[b0:b1 + 1])[:, None, None]
+        thb = np.ascontiguousarray(th[:, b0:b1 + 1].T)[..., None]  # (steps + 1, n_paths, 1)
+        slope = (thb[1:] - thb[:-1]) / dt
+        lam = _unit(thb)
+        lam_mid = _unit(thb[:-1] + slope * (dt / 2))
+        for j, macro in enumerate(dt.ravel().tolist()):
+            t0 = t[b0 + j]
+            lam0 = lam[j]
+            elapsed = 0.0
+            while elapsed < macro - 1e-15:
+                h = macro - elapsed
+                if scan:
+                    dmin = float(np.min(np.abs(w - lam0)))
+                    if dmin < _W_LAMBDA_FLOOR:
+                        raise SingularityError(
+                            "flow point collided with the driving singularity", t=t0 + elapsed
+                        )
+                    if dmin < delta:
+                        h = min(macro * (dmin / delta) ** 2, h)
+                last = elapsed + h >= macro - 1e-15
+                if h == macro:
+                    lam_half, lam1 = lam_mid[j], lam[j + 1]
+                else:
+                    lam_half = _unit(thb[j] + slope[j] * (elapsed + h / 2))
+                    lam1 = lam[j + 1] if last else _unit(thb[j] + slope[j] * (elapsed + h))
+                w, ld, lr = _rk4_substep(w, ld, lr, lam0, lam_half, lam1, h)
+                substeps += 1
+                absw_new = np.abs(w)
+                if not np.all(absw_new <= absw + _MONOTONE_SLACK):
+                    raise SingularityError(
+                        "|w| failed to decrease; integrator step rejected", t=t0 + elapsed
+                    )
+                absw = absw_new
+                elapsed += h
+                lam0 = lam1
+
+    return FlowStates(z0=z0, w=w, logderiv=ld, logratio=lr, t=cfg.horizon_T, substeps=substeps)
 
 
 @dataclass(frozen=True)
@@ -339,31 +407,6 @@ def sample_ensemble(
         config=cfg,
         stream_ids=np.concatenate([p.stream_ids for p in parts]),
     )
-
-
-def stationarity_diagnostic(cfg: SimConfig, z, T_list, N, p=2.0, q=2.0, workers=1):
-    """Drift of a reference moment across horizons.
-
-    For each horizon T, estimates E(|z f'/f|-type moment with exponents
-    (p, q)) from N fresh samples and reports (T, estimate, stderr).  Used
-    to validate the default horizon: estimates should agree within pooled
-    standard errors once the horizon truncation is negligible.
-    """
-    T_list = list(T_list)
-    if any(b <= a for a, b in zip(T_list, T_list[1:])):
-        raise DomainError("T_list must be strictly increasing")
-    rows = []
-    if N == 0:
-        return rows
-    logz = np.log(complex(z))
-    for i, T in enumerate(T_list):
-        tcfg = replace(cfg, horizon_T=float(T), stream_id=cfg.stream_id + 1000 * i)
-        sample = sample_ensemble(tcfg, [z], N, workers=workers)
-        x = np.exp(p * sample.logfp[:, 0].real - q * (sample.logf[:, 0].real - logz.real))
-        est = float(np.mean(x))
-        err = float(np.std(x, ddof=1) / np.sqrt(N)) if N > 1 else 0.0
-        rows.append((float(T), est, err))
-    return rows
 
 
 def dump_samples_csv(sample: WholePlaneSample, fileobj):

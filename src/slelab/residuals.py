@@ -262,9 +262,14 @@ def moduli_residual_gform(kappa, gamma, z, h=DEFAULT_H):
 
 
 def _quartic_gamma0(kappa, gamma):
-    """Companion exponent of the quartic seed system, lower branch."""
+    """Companion exponent of the quartic seed system, lower branch.
+
+    The discriminant is at least 12 + 6 kappa for real gamma and kappa > 0,
+    so it is <= 0 (or nan) only for arguments outside that domain.
+    """
     disc = _spec._quartic_disc(kappa, gamma)
-    assert disc > 0
+    if not disc > 0:
+        raise DomainError(f"quartic discriminant {disc} <= 0 at kappa={kappa}, gamma={gamma}")
     return (8 + kappa) / (4 * kappa) - np.sqrt(disc) / (2 * kappa)
 
 

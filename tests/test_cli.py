@@ -256,10 +256,25 @@ class TestEmit:
     def test_empty_table(self, tmp_path):
         assert self.emit(tmp_path, "csv", ("a", "b"), []) == \
             f"# {cli.SCHEMA_VERSION}: a,b\na,b\n"
-        assert json.loads(self.emit(tmp_path, "json", ("a",), []))["rows"] == []
+        assert self.emit(tmp_path, "json", ("a",), []) == json.dumps(
+            {"schema": cli.SCHEMA_VERSION, "columns": ["a"], "rows": []}, indent=2) + "\n"
 
     def test_rows_span_blocks(self, tmp_path, monkeypatch):
         monkeypatch.setattr(cli, "_BLOCK_ROWS", 3)
         x = np.linspace(0.0, 1.0, 10)
         text = self.emit(tmp_path, "csv", ("x", "m"), cli._Table(x, 2))
         assert text.splitlines()[2:] == [f"{v!r},2" for v in x.tolist()]
+        cols, table, rows, want = self.tables()
+        text = json.dumps({"schema": cli.SCHEMA_VERSION, "columns": list(cols),
+                           "rows": want}, indent=2) + "\n"
+        assert self.emit(tmp_path, "json", cols, rows) == text
+        assert self.emit(tmp_path, "json", cols, table) == text
+
+    def test_json_generated_is_the_last_key(self, tmp_path):
+        out = tmp_path / "t.json"
+        cli._emit(argparse.Namespace(output=str(out), format="json", no_header=False),
+                  ("a", "b"), [(0.5, "x")])
+        text = out.read_text()
+        payload = json.loads(text)
+        assert list(payload) == ["schema", "columns", "rows", "generated"]
+        assert text == json.dumps(payload, indent=2) + "\n"

@@ -189,6 +189,137 @@ class TestEvolve:
         assert abs(w2 - w1) < abs(w1 - w0)
 
 
+def reference_evolve(path, cfg, points):
+    """Plain per-step RK4 of the flow in its (w + lam)/(w - lam) form, one
+    exp per driving point and no sub-steps, for comparison with ``evolve``."""
+
+    def drift(w, lam):
+        s = (w + lam) / (w - lam)
+        return w * s, s - 2 * lam * w / (w - lam) ** 2, s
+
+    th = np.atleast_2d(path.theta)[:, :, None]
+    w = np.broadcast_to(np.asarray(points, complex), (th.shape[0], len(points))).copy()
+    ld = np.zeros_like(w)
+    lr = np.zeros_like(w)
+    t = path.times
+    for k in range(len(t) - 1):
+        h = t[k + 1] - t[k]
+        lam0, lam1 = np.exp(1j * th[:, k]), np.exp(1j * th[:, k + 1])
+        lam_half = np.exp(0.5j * (th[:, k] + th[:, k + 1]))
+        k1 = drift(w, lam0)
+        k2 = drift(w + h / 2 * k1[0], lam_half)
+        k3 = drift(w + h / 2 * k2[0], lam_half)
+        k4 = drift(w + h * k3[0], lam1)
+        w, ld, lr = (y + h / 6 * (a + 2 * b + 2 * c + d)
+                     for y, a, b, c, d in zip((w, ld, lr), k1, k2, k3, k4))
+    return w, ld, lr
+
+
+def brownian_oracle(times, theta, z):
+    """DOP853 on each driver step, theta linear inside it: (w, log w', log(w/z))."""
+    y = np.array([z, 0, 0], dtype=complex)
+    for k in range(len(times) - 1):
+        t0, t1 = times[k], times[k + 1]
+        slope = (theta[k + 1] - theta[k]) / (t1 - t0)
+
+        def rhs(t, y, th0=theta[k], t0=t0, slope=slope):
+            w = y[0]
+            lam = np.exp(1j * (th0 + slope * (t - t0)))
+            s = (w + lam) / (w - lam)
+            return np.array([w * s, s - 2 * lam * w / (w - lam) ** 2, s])
+
+        y = solve_ivp(rhs, (t0, t1), y, method="DOP853", rtol=1e-11, atol=1e-13).y[:, -1]
+    return y
+
+
+class TestKernel:
+    def test_path_alone_equals_path_in_batch(self):
+        cfg = small_cfg(kappa=6.0, horizon_T=1.0, dt=1e-3, seed=8)
+        path = sample_driver(cfg, n_paths=32)
+        pts = [0.6, 0.6j]
+        batch = evolve(path, cfg, pts)
+        for i in (0, 1, 31):
+            driver = flow.DrivingPath(times=path.times, theta=path.theta[i])
+            alone = evolve(driver, cfg, pts)
+            singles = [evolve(driver, cfg, [z]) for z in pts]
+            for name in ("w", "logderiv", "logratio"):
+                assert np.array_equal(getattr(alone, name)[0], getattr(batch, name)[i])
+                for j, single in enumerate(singles):
+                    assert getattr(single, name)[0, 0] == getattr(batch, name)[i, j]
+
+    @pytest.mark.parametrize("kappa", [2.0, 6.0])
+    def test_brownian_driver_matches_dop853_oracle(self, kappa):
+        # With a Brownian driver the RK4 error grows sharply when the driver
+        # passes close to a point at |z| = 0.9 (up to 5e-4 at T = 0.2,
+        # dt = 5e-4 over 32 seeds), so the points face away from the
+        # driver's start and the horizon is short; error control near the
+        # circle is ROADMAP item 2.
+        cfg = small_cfg(kappa=kappa, horizon_T=0.1, dt=2.5e-4, seed=7)
+        path = sample_driver(cfg)
+        pts = [-0.6, 0.6j, -0.9, 0.9 * np.exp(0.75j * np.pi)]
+        states = evolve(path, cfg, pts)
+        for j, z in enumerate(pts):
+            ref = brownian_oracle(path.times, path.theta, z)
+            got = (states.w[0, j], states.logderiv[0, j], states.logratio[0, j])
+            assert np.max(np.abs(np.subtract(got, ref))) < 1e-5
+
+    @pytest.mark.parametrize("value", [0.0, 0.7])
+    def test_constant_driver_closed_form(self, value):
+        # with lam frozen, v = -w/lam obeys K(v_T) = e^{-T} K(v_0) for the
+        # Koebe function K(v) = v/(1-v)^2, and w'(z) = e^{-T} K'(v_0)/K'(v_T)
+        cfg = small_cfg(horizon_T=2.0, dt=1e-3)
+        z = np.array([0.5, 0.3 + 0.4j, -0.8, 0.85j])
+        states = evolve(constant_driver(cfg, value), cfg, z)
+        lam = np.exp(1j * value)
+        v0, vT = -z / lam, -states.w[0] / lam
+
+        def K(v):
+            return v / (1 - v) ** 2
+
+        def dK(v):
+            return (1 + v) / (1 - v) ** 3
+
+        assert np.max(np.abs(K(vT) - np.exp(-2.0) * K(v0))) < 1e-10
+        fp = np.exp(-2.0) * dK(v0) / dK(vT)
+        assert np.max(np.abs(np.exp(states.logderiv[0]) / fp - 1)) < 1e-10
+
+    @pytest.mark.parametrize("T, dt", [(1.0, 0.3), (1.325, 0.01)])
+    def test_ragged_step_and_partial_block(self, T, dt):
+        # 4 steps, the last 0.1 long; 133 steps, two blocks of 64 and a
+        # third of 5, the last step 0.005 long
+        cfg = small_cfg(kappa=3.0, horizon_T=T, dt=dt, seed=13)
+        path = sample_driver(cfg, n_paths=3)
+        assert path.times[-1] == T
+        pts = [0.2, 0.5j, -0.3 + 0.1j]
+        states = evolve(path, cfg, pts)
+        assert states.substeps == cfg.n_steps
+        for got, ref in zip((states.w, states.logderiv, states.logratio),
+                            reference_evolve(path, cfg, pts)):
+            assert np.max(np.abs(got - ref)) < 1e-12
+
+
+class TestSubsteps:
+    def test_one_substep_per_step_in_the_bulk(self):
+        cfg = small_cfg(kappa=6.0, horizon_T=0.5, dt=1e-3)
+        states = evolve(sample_driver(cfg, n_paths=4), cfg, [0.6, -0.6j, 0.3])
+        assert states.substeps == cfg.n_steps
+
+    def test_steps_split_near_the_circle(self, monkeypatch):
+        calls = []
+        original = flow._rk4_substep
+
+        def counting(w, *args):
+            calls.append(w.size)
+            return original(w, *args)
+
+        monkeypatch.setattr(flow, "_rk4_substep", counting)
+        cfg = small_cfg(kappa=6.0, horizon_T=0.5, dt=1e-3, r_max=0.99)
+        states = evolve(sample_driver(cfg, n_paths=16), cfg, [0.97])
+        assert states.substeps > cfg.n_steps
+        assert states.substeps == len(calls)
+        assert set(calls) == {16}
+
+
 class TestSamples:
     def test_whole_plane_logs(self):
         cfg = small_cfg(horizon_T=3.0, dt=5e-3)
@@ -239,14 +370,6 @@ class TestSamples:
         cfg = small_cfg()
         s = sample_ensemble(cfg, [0.2], 0)
         assert s.n_samples == 0
-
-    def test_stationarity_diagnostic_rows(self):
-        cfg = small_cfg(dt=2e-2)
-        rows = flow.stationarity_diagnostic(cfg, 0.3, [0.5, 1.0], 8)
-        assert [r[0] for r in rows] == [0.5, 1.0]
-        assert all(r[2] >= 0 for r in rows)
-        with pytest.raises(DomainError):
-            flow.stationarity_diagnostic(cfg, 0.3, [1.0, 0.5], 8)
 
     def test_csv_dump(self):
         cfg = small_cfg(dt=2e-2)

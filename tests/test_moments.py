@@ -138,6 +138,22 @@ class TestEstimators:
         b = estimate_one_point(s, 2.0, 2.0, 0.5)
         assert a.value == b.value
 
+    def test_stationarity_diagnostic_rows(self):
+        cfg = SimConfig(kappa=2.0, horizon_T=1.0, dt=2e-2, seed=11)
+        rows = moments.stationarity_diagnostic(cfg, 0.3, [0.5, 1.0], 8)
+        assert [r[0] for r in rows] == [0.5, 1.0]
+        assert all(r[2] >= 0 for r in rows)
+        with pytest.raises(DomainError):
+            moments.stationarity_diagnostic(cfg, 0.3, [1.0, 0.5], 8)
+
+    def test_stationarity_rows_are_moduli_estimates(self):
+        cfg = SimConfig(kappa=2.0, horizon_T=1.0, dt=2e-2, seed=11, stream_id=4)
+        rows = moments.stationarity_diagnostic(cfg, 0.3, [0.5, 1.0], 8, p=1.5, q=0.5)
+        for i, (T, value, stderr) in enumerate(rows):
+            tcfg = SimConfig(kappa=2.0, horizon_T=T, dt=2e-2, seed=11, stream_id=4 + 1000 * i)
+            est = estimate_moduli(sample_ensemble(tcfg, [0.3], 8), 1.5, 0.5, 0.3)
+            assert (value, stderr) == (est.value.real, est.stderr)
+
     def test_unknown_point_rejected(self):
         s = mc_sample([0.5], n=5, dt=2e-2, T=1.0)
         with pytest.raises(DomainError):

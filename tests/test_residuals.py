@@ -117,6 +117,14 @@ class TestSeedSystems:
         for rep in rs.seed_systems(kappa):
             assert rep["pass"], rep
 
+    @pytest.mark.parametrize("kappa, gamma", [(-4.0, 0.0), (-2.0, -0.25), (6.0, float("nan"))])
+    def test_quartic_gamma0_rejects_nonpositive_discriminant(self, kappa, gamma):
+        # the discriminant is 12 + 6 kappa at its minimum gamma = (4 + kappa)/(4 kappa):
+        # -12 at kappa = -4, 0 at kappa = -2; nan propagates
+        assert not sp._quartic_disc(kappa, gamma) > 0
+        with pytest.raises(DomainError):
+            rs._quartic_gamma0(kappa, gamma)
+
     def test_seed_curves_match_atlas(self):
         # agreement between the coefficient-system reconstruction and the
         # parametric curves, sampled beyond the defaults
