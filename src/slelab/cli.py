@@ -54,29 +54,54 @@ class _Table:
         return self.n_rows
 
 
-def _column_text(column, start, stop):
-    """Entries start..stop-1 of one column as ``_fmt`` writes them."""
+def _column_text(column, start, stop, enc=None):
+    """Entries start..stop-1 of one column as ``_fmt`` writes them, passed
+    through ``enc`` when given: one text for a scalar column, else a
+    sequence of texts.
+
+    Array columns of numbers, bools or strings are formatted once per
+    distinct value, told apart by bit pattern so that -0.0 and 0.0 (or two
+    NaN payloads) stay apart, and the texts are mapped back to the rows.
+    """
     if np.isscalar(column):
-        return [_fmt(column)] * (stop - start)
+        text = _fmt(column)
+        return enc(text) if enc else text
     column = column[start:stop]
-    if isinstance(column, np.ndarray) and (
-            column.dtype.kind in "biuU" or column.dtype.kind == "f" and column.dtype.itemsize <= 8):
-        # tolist() yields Python floats, ints, bools and strs, whose text is _fmt's
-        return list(map(repr if column.dtype.kind == "f" else str, column.tolist()))
-    return [_fmt(v) for v in column]
+    kind = column.dtype.kind if isinstance(column, np.ndarray) else None
+    if kind == "U":
+        distinct, inverse = np.unique(column, return_inverse=True)
+        texts = distinct.tolist()
+    elif kind in ("b", "i", "u") or kind == "f" and column.dtype.itemsize <= 8:
+        bits, inverse = np.unique(column.view(f"u{column.dtype.itemsize}"), return_inverse=True)
+        # tolist() yields Python floats, ints and bools, whose text is _fmt's
+        texts = list(map(repr if kind == "f" else str, bits.view(column.dtype).tolist()))
+    else:
+        texts = [_fmt(v) for v in column]
+        inverse = None
+    if enc:
+        texts = list(map(enc, texts))
+    return texts if inverse is None else np.array(texts, dtype=object)[inverse]
 
 
 _BLOCK_ROWS = 1 << 14   # rows formatted at a time, bounding the text held in memory
 
 
-def _text_blocks(rows):
-    """The text of every row, formatted column-wise: one list of row tuples
-    per block of rows."""
+def _text_blocks(rows, sep, end, last, enc=None):
+    """The text of every row, a block of rows at a time: each cell as
+    ``_column_text`` writes it, ``sep`` between cells, ``end`` after each
+    row and ``last`` after the table's last row."""
     cols = rows.columns if isinstance(rows, _Table) else list(zip(*rows))
     n = len(rows)
     for start in range(0, n, _BLOCK_ROWS):
         stop = min(start + _BLOCK_ROWS, n)
-        yield list(zip(*(_column_text(c, start, stop) for c in cols)))
+        cells = np.empty((stop - start, 2 * len(cols)), dtype=object)
+        cells[:, 1::2] = sep
+        cells[:, -1] = end
+        if stop == n:
+            cells[-1, -1] = last
+        for j, column in enumerate(cols):
+            cells[:, 2 * j] = _column_text(column, start, stop, enc)
+        yield "".join(cells.ravel().tolist())
 
 
 def _json_array(items, depth):
@@ -94,13 +119,12 @@ def _write_json(fh, columns, rows, generated):
     {"schema", "columns", "rows" (each row a list of cell strings) and,
     when given, "generated"}, written a block of rows at a time."""
     enc = json.encoder.encode_basestring_ascii
+    cell = "\n      "   # the indent=2 break before a cell of a row
     fh.write(f'{{\n  "schema": {enc(SCHEMA_VERSION)},\n'
-             f'  "columns": {_json_array(map(enc, columns), 1)},\n  "rows": [')
-    sep = "\n    "
-    for block in _text_blocks(rows):
-        fh.write(sep + ",\n    ".join(_json_array(map(enc, r), 2) for r in block))
-        sep = ",\n    "
-    fh.write("\n  ]" if len(rows) else "]")
+             f'  "columns": {_json_array(map(enc, columns), 1)},\n  "rows": ['
+             + (f"\n    [{cell}" if len(rows) else "]"))
+    for text in _text_blocks(rows, f",{cell}", f"\n    ],\n    [{cell}", "\n    ]\n  ]", enc):
+        fh.write(text)
     if generated is not None:
         fh.write(f',\n  "generated": {enc(generated)}')
     fh.write("\n}\n")
@@ -126,8 +150,8 @@ def _emit(args, columns, rows, suffix=""):
             fh.write(f"# generated: {stamp}\n")
         fh.write(f"# {SCHEMA_VERSION}: {','.join(columns)}\n")
         fh.write(",".join(columns) + "\n")
-        for block in _text_blocks(rows):
-            fh.write("".join(",".join(r) + "\n" for r in block))
+        for text in _text_blocks(rows, ",", "\n", "\n"):
+            fh.write(text)
 
 
 def _parse_complex(s):
@@ -333,29 +357,7 @@ def _cmd_universal(args):
 
 
 def _cmd_check(args):
-    reports = []
-    g = 1 / args.kappa + 0.25
-    p, q = moments.parabola_point(args.kappa, g)
-    if args.suite in ("algebra", "all"):
-        rng = np.random.default_rng(args.seed)
-        worst = 0.0
-        for _ in range(200):
-            kk, pp, qq, aa = rng.uniform(0.5, 20), *rng.uniform(-5, 5, 3)
-            worst = max(worst, abs(residuals.abc_check(kk, pp, qq, aa)["sum"]))
-        reports.append({"check": "abc_sum_random", "inputs": {"n": 200},
-                        "residual": worst, "order_estimate": None,
-                        "pass": bool(worst < 1e-12)})
-        reports.append({"check": "beta_duality",
-                        "inputs": {"kappa": args.kappa, "gamma": g},
-                        "residual": residuals.duality_check(args.kappa, p, g)["residual"],
-                        "order_estimate": None,
-                        "pass": bool(residuals.duality_check(args.kappa, p, g)["residual"] < 1e-12)})
-    if args.suite in ("residuals", "all"):
-        reports.append(residuals.ode_residual(args.kappa, g, 0.3 + 0.2j))
-        reports.append(residuals.pde_residual(args.kappa, g, 0.3 + 0.2j, 0.25 - 0.15j))
-        reports.append(residuals.moduli_residual(args.kappa, g, 0.3 + 0.2j))
-    if args.suite in ("seeds", "all"):
-        reports.extend(residuals.seed_systems(args.kappa))
+    reports = residuals.run_all_checks(args.kappa, suite=args.suite, seed=args.seed)
     text = json.dumps(reports, indent=2, default=float) + "\n"
     if args.output:
         with open(args.output, "w") as fh:
@@ -476,7 +478,7 @@ def build_parser():
 
     s = sub.add_parser("check", help="residual and algebra check suite")
     _add_common(s)
-    s.add_argument("--suite", choices=("algebra", "residuals", "seeds", "all"),
+    s.add_argument("--suite", choices=residuals.SUITES,
                    default=argparse.SUPPRESS)
     s.set_defaults(func=_cmd_check)
 

@@ -367,22 +367,40 @@ def seed_systems(kappa, n_params=7):
     return checks
 
 
-def run_all_checks(kappa, gamma=None, z=0.3 + 0.2j, h=DEFAULT_H):
-    """Full battery of residual checks at one kappa; returns report dicts."""
+SUITES = ("algebra", "residuals", "seeds", "all")
+
+
+def run_all_checks(kappa, gamma=None, z=0.3 + 0.2j, h=DEFAULT_H, suite="all", seed=0):
+    """The check battery at one kappa; returns report dicts.
+
+    ``suite`` picks "algebra" (the A + B + C sum at 200 random (kappa, p,
+    q, alpha) drawn from ``seed``, and the duality of beta), "residuals"
+    (the ODE and PDE residuals of the closed forms), "seeds" (the
+    separatrices re-derived from the coefficient system) or "all".
+    """
+    if suite not in SUITES:
+        raise ValueError(f"unknown check suite {suite!r}; expected one of {SUITES}")
     if gamma is None:
         gamma = 1 / kappa + 0.25
     reports = []
-    ab = abc_check(kappa, *parabola_point(kappa, gamma), gamma)
-    reports.append({"check": "abc_sum", "inputs": {"kappa": kappa, "gamma": gamma},
-                    "residual": abs(ab["sum"]), "order_estimate": None,
-                    "pass": bool(abs(ab["sum"]) < 1e-12)})
-    dual = duality_check(kappa, parabola_point(kappa, gamma)[0], gamma)
-    reports.append({"check": "beta_duality", "inputs": {"kappa": kappa, "gamma": gamma},
-                    "residual": dual["residual"], "order_estimate": None,
-                    "pass": bool(dual["residual"] < 1e-12)})
-    reports.append(ode_residual(kappa, gamma, z, h))
-    reports.append(pde_residual(kappa, gamma, z, 0.25 - 0.15j, h))
-    reports.append(moduli_residual(kappa, gamma, z, h))
-    reports.append(moduli_residual_gform(kappa, gamma, z, h))
-    reports.extend(seed_systems(kappa))
+    if suite in ("algebra", "all"):
+        rng = np.random.default_rng(seed)
+        worst = 0.0
+        for _ in range(200):
+            kk, pp, qq, aa = rng.uniform(0.5, 20), *rng.uniform(-5, 5, 3)
+            worst = max(worst, abs(abc_check(kk, pp, qq, aa)["sum"]))
+        reports.append({"check": "abc_sum_random", "inputs": {"n": 200},
+                        "residual": worst, "order_estimate": None,
+                        "pass": bool(worst < 1e-12)})
+        dual = duality_check(kappa, parabola_point(kappa, gamma)[0], gamma)
+        reports.append({"check": "beta_duality", "inputs": {"kappa": kappa, "gamma": gamma},
+                        "residual": dual["residual"], "order_estimate": None,
+                        "pass": bool(dual["residual"] < 1e-12)})
+    if suite in ("residuals", "all"):
+        reports.append(ode_residual(kappa, gamma, z, h))
+        reports.append(pde_residual(kappa, gamma, z, 0.25 - 0.15j, h))
+        reports.append(moduli_residual(kappa, gamma, z, h))
+        reports.append(moduli_residual_gform(kappa, gamma, z, h))
+    if suite in ("seeds", "all"):
+        reports.extend(seed_systems(kappa))
     return reports

@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from slelab import cli
+from slelab import cli, residuals
 
 
 def run(argv):
@@ -127,6 +127,16 @@ class TestExitCodes:
         assert run(["check", "--suite", "seeds", "--kappa", "2",
                     "--output", str(out)]) == 0
 
+    @pytest.mark.parametrize("suite", residuals.SUITES)
+    def test_check_writes_the_battery(self, tmp_path, suite):
+        out = tmp_path / "r.json"
+        assert run(["check", "--suite", suite, "--kappa", "6", "--seed", "5",
+                    "--output", str(out)]) == 0
+        reports = residuals.run_all_checks(6.0, suite=suite, seed=5)
+        assert out.read_text() == json.dumps(reports, indent=2, default=float) + "\n"
+        assert ("moduli_pde_gform" in [r["check"] for r in reports]) == \
+            (suite in ("residuals", "all"))
+
 
 class TestOtherCommands:
     def test_simulate_dump(self, tmp_path):
@@ -213,6 +223,27 @@ def _expected_text(v):
     return str(v)
 
 
+def _reference_csv(columns, rows):
+    """A table as ``_emit`` writes it as CSV under --no-header, row by row."""
+    lines = [f"# {cli.SCHEMA_VERSION}: {','.join(columns)}", ",".join(columns)]
+    lines += [",".join(_expected_text(v) for v in r) for r in rows]
+    return "".join(f"{line}\n" for line in lines)
+
+
+def _reference_json(columns, rows):
+    """A table as ``_emit`` writes it as JSON under --no-header."""
+    return json.dumps({"schema": cli.SCHEMA_VERSION, "columns": list(columns),
+                       "rows": [[_expected_text(v) for v in r] for r in rows]},
+                      indent=2) + "\n"
+
+
+def _row_tuples(rows):
+    if not isinstance(rows, cli._Table):
+        return list(rows)
+    return [tuple(c if np.isscalar(c) else c[i] for c in rows.columns)
+            for i in range(len(rows))]
+
+
 class TestEmit:
     def emit(self, tmp_path, fmt, columns, rows):
         out = tmp_path / f"t.{fmt}"
@@ -235,21 +266,17 @@ class TestEmit:
         table = cli._Table(f64, f32, py, ints, i64, strs, _MIXED, 6.0)
         rows = [tuple(c[i] for c in (f64, f32, py, ints, i64, strs, _MIXED)) + (6.0,)
                 for i in range(n)]
-        want = [[_expected_text(v) for v in r] for r in rows]
-        return cols, table, rows, want
+        return cols, table, rows
 
     def test_csv_text(self, tmp_path):
-        cols, table, rows, want = self.tables()
-        text = "".join(f"{line}\n" for line in
-                       [f"# {cli.SCHEMA_VERSION}: {','.join(cols)}", ",".join(cols)]
-                       + [",".join(r) for r in want])
+        cols, table, rows = self.tables()
+        text = _reference_csv(cols, rows)
         assert self.emit(tmp_path, "csv", cols, rows) == text
         assert self.emit(tmp_path, "csv", cols, table) == text
 
     def test_json_text(self, tmp_path):
-        cols, table, rows, want = self.tables()
-        text = json.dumps({"schema": cli.SCHEMA_VERSION, "columns": list(cols),
-                           "rows": want}, indent=2) + "\n"
+        cols, table, rows = self.tables()
+        text = _reference_json(cols, rows)
         assert self.emit(tmp_path, "json", cols, rows) == text
         assert self.emit(tmp_path, "json", cols, table) == text
 
@@ -264,9 +291,8 @@ class TestEmit:
         x = np.linspace(0.0, 1.0, 10)
         text = self.emit(tmp_path, "csv", ("x", "m"), cli._Table(x, 2))
         assert text.splitlines()[2:] == [f"{v!r},2" for v in x.tolist()]
-        cols, table, rows, want = self.tables()
-        text = json.dumps({"schema": cli.SCHEMA_VERSION, "columns": list(cols),
-                           "rows": want}, indent=2) + "\n"
+        cols, table, rows = self.tables()
+        text = _reference_json(cols, rows)
         assert self.emit(tmp_path, "json", cols, rows) == text
         assert self.emit(tmp_path, "json", cols, table) == text
 
@@ -278,3 +304,126 @@ class TestEmit:
         payload = json.loads(text)
         assert list(payload) == ["schema", "columns", "rows", "generated"]
         assert text == json.dumps(payload, indent=2) + "\n"
+
+
+def _nan(bits):
+    return np.array([bits], dtype=np.uint64).view(np.float64)[0]
+
+
+class TestDistinctValueFormatting:
+    """``_emit`` formats each distinct value of an array column once; the
+    text must still be what ``_fmt`` writes for every cell."""
+
+    def check(self, tmp_path, columns, table, header=False):
+        rows = _row_tuples(table)
+        for fmt, ref in (("csv", _reference_csv), ("json", _reference_json)):
+            out = tmp_path / f"t.{fmt}"
+            cli._emit(argparse.Namespace(output=str(out), format=fmt, no_header=not header),
+                      columns, table)
+            text = out.read_text()
+            if header and fmt == "csv":
+                assert text.startswith("# generated: ")
+                text = text.split("\n", 1)[1]
+            elif header:
+                payload = json.loads(text)
+                assert text == json.dumps(payload, indent=2) + "\n"
+                del payload["generated"]
+                text = json.dumps(payload, indent=2) + "\n"
+            assert text == ref(columns, rows)
+
+    def test_signed_zeros_and_repeats(self, tmp_path):
+        x = np.array([0.0, -0.0, 1.5, 0.0, -0.0, 1.5, -0.0, 0.1])
+        self.check(tmp_path, ("x", "k"), cli._Table(x, 6.0))
+        texts = cli._column_text(x, 0, len(x))
+        assert texts.tolist() == [repr(v) for v in x.tolist()]
+        # one text object per distinct bit pattern: -0.0 and 0.0 stay apart
+        assert len({id(t) for t in texts}) == 4
+
+    def test_nan_payloads_infinities_subnormals(self, tmp_path):
+        nans = [_nan(0x7FF8000000000000), _nan(0xFFF8000000000000),
+                _nan(0x7FF8000000000001), _nan(0x7FF0000000000001)]
+        x = np.array(nans + [np.inf, -np.inf, 5e-324, -5e-324, 2.5e-310, np.inf] + nans)
+        assert len(np.unique(x.view(np.uint64))) == 9
+        f32 = np.array([1e-45, -1e-45, 1e-40, np.inf, -np.inf, np.nan] * 2, dtype=np.float32)
+        self.check(tmp_path, ("x", "f32"), cli._Table(x[:12], f32))
+        assert list(cli._column_text(x, 0, len(x)))[:4] == ["nan"] * 4
+
+    def test_repeats_in_each_dtype(self, tmp_path):
+        n = 40
+        i = np.arange(n) % 5
+        cols = {
+            "f32": (i * 0.1).astype(np.float32),
+            "f16": (i * 0.1 - 0.2).astype(np.float16),
+            "i64": (i - 2).astype(np.int64) * 10**15,
+            "u8": (i * 60).astype(np.uint8),
+            "bool": i % 2 == 0,
+            "str": np.array(["I", "II", "III", "IV", ""])[i],
+            "py": [float(v) for v in i * 0.25],
+        }
+        self.check(tmp_path, tuple(cols), cli._Table(*cols.values()))
+
+    def test_zero_stride_column(self, tmp_path):
+        x = np.broadcast_to(np.float64(-1 / 3), (25,))
+        assert x.strides == (0,)
+        self.check(tmp_path, ("x", "i"), cli._Table(x, np.arange(25)))
+
+    def test_repeats_span_blocks(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "_BLOCK_ROWS", 4)
+        x = np.array([0.1, -0.0, 0.0, 0.1, 0.1, 0.0, -0.0, 0.1, 0.1, 0.0, 7.0])
+        s = np.array(["a", "b", "a", "b", "a", "b", "a", "b", "a", "b", "a"])
+        self.check(tmp_path, ("x", "s", "m"), cli._Table(x, s, 2))
+        self.check(tmp_path, ("x", "s", "m"), [(a, b, 2) for a, b in zip(x, s)])
+
+    def test_all_distinct_column(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "_BLOCK_ROWS", 64)
+        x = np.random.default_rng(3).standard_normal(200) * 10.0 ** np.arange(-100, 100)
+        self.check(tmp_path, ("x", "y"), cli._Table(x, x[::-1]))
+
+    @pytest.mark.parametrize("header", [False, True])
+    def test_empty_table(self, tmp_path, header):
+        self.check(tmp_path, ("a", "b"), cli._Table(np.array([]), 2.0), header=header)
+        self.check(tmp_path, ("a", "b"), [], header=header)
+
+    def test_header_with_rows(self, tmp_path):
+        self.check(tmp_path, ("a", "b"), cli._Table(np.array([0.5, 0.5, -0.0]), "x"),
+                   header=True)
+
+
+# small runs of every subcommand that writes through _emit
+_GUARDED = {
+    "phase_diagram_m1": ["phase-diagram", "--kappa", "6", "--m", "1", "--resolution", "12",
+                         "--curve-points", "20"],
+    "phase_diagram_m3": ["phase-diagram", "--kappa", "2", "--m", "3", "--resolution", "12",
+                         "--curve-points", "20"],
+    "xy_geometry": ["xy-geometry", "--kappa", "6", "--resolution", "7"],
+    "spectrum": ["spectrum", "--kappa", "6", "--m", "3", "--p", "0", "--q", "0",
+                 "--p", "1.5", "--q", "-2", "--p", "1.5", "--q", "-2"],
+    "universal": ["universal", "--resolution", "9"],
+    "means_scan": ["means-scan", "--kappa", "6", "--p", "1.75", "--q", "1.5", "--n-r", "8"],
+    "moments": ["moments", "--kappa", "2", "--z", "0.4", "--z", "0.1+0.2j", "--n-samples", "10",
+                "--dt", "0.05", "--T", "0.5"],
+    "log_coeffs": ["log-coeffs", "--kappa", "2", "--fft-size", "8", "--n-max", "3",
+                   "--n-samples", "10", "--dt", "0.05", "--T", "0.5"],
+}
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("name", list(_GUARDED))
+def test_subcommand_output_matches_reference_writer(tmp_path, monkeypatch, name, fmt):
+    """Whatever _emit does inside, each table it is given must be written as
+    the row-by-row reference writes it."""
+    calls = []
+    emit = cli._emit
+
+    def capture(args, columns, rows, suffix=""):
+        calls.append((columns, rows, suffix))
+        emit(args, columns, rows, suffix)
+
+    monkeypatch.setattr(cli, "_emit", capture)
+    out = tmp_path / f"out.{fmt}"
+    assert run(_GUARDED[name] + ["--format", fmt, "--no-header", "--output", str(out)]) == 0
+    assert [c[2] for c in calls] == (["", "curves"] if name.startswith("phase") else [""])
+    reference = _reference_csv if fmt == "csv" else _reference_json
+    for columns, rows, suffix in calls:
+        path = tmp_path / (f"out.{suffix}.{fmt}" if suffix else f"out.{fmt}")
+        assert path.read_text() == reference(columns, _row_tuples(rows))

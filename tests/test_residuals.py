@@ -141,3 +141,13 @@ class TestReportFormat:
             for r in reports
         )
         assert all(r["pass"] for r in reports)
+
+    def test_run_all_checks_suites(self):
+        names = {suite: [r["check"] for r in rs.run_all_checks(6.0, suite=suite, seed=1)]
+                 for suite in rs.SUITES}
+        assert names["algebra"] == ["abc_sum_random", "beta_duality"]
+        assert names["residuals"] == ["one_point_ode", "two_point_pde", "moduli_pde",
+                                      "moduli_pde_gform"]
+        assert names["all"] == names["algebra"] + names["residuals"] + names["seeds"]
+        with pytest.raises(ValueError):
+            rs.run_all_checks(6.0, suite="bogus")
