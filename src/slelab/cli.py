@@ -16,6 +16,7 @@ import argparse
 import contextlib
 import datetime
 import json
+import math
 import os
 import sys
 
@@ -513,6 +514,8 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         args = _merge_config(args)
+        if not isinstance(args.kappa, (int, float)) or not 0 < args.kappa < math.inf:
+            raise ConfigError(f"kappa must be finite and > 0, got {args.kappa!r}")
         return args.func(args)
     except (ConfigError, DomainError, FileNotFoundError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

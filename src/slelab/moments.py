@@ -86,11 +86,13 @@ def parabola_cartesian_residual(kappa, p, q):
 
 def parabola_gamma(kappa, p, branch="-"):
     """Invert the parabola's p(gamma); two branches meet at the vertex."""
+    if branch not in ("+", "-"):
+        raise DomainError(f"unknown parabola branch {branch!r}; expected '+' or '-'")
     disc = (4 + kappa) ** 2 - 8 * kappa * p
     if disc < -1e-12:
         raise DomainError(f"p={p} beyond the parabola vertex (4+kappa)^2/(8 kappa)")
     root = np.sqrt(max(disc, 0.0))
-    sign = {"+": 1.0, "-": -1.0}[branch]
+    sign = 1.0 if branch == "+" else -1.0
     return (4 + kappa + sign * root) / (2 * kappa)
 
 

@@ -13,7 +13,6 @@ parametrizations.
 from __future__ import annotations
 
 import numpy as np
-from scipy.optimize import brentq, fsolve
 
 from .flow import DomainError
 from .moments import closed_moduli, closed_one_point, closed_two_point, parabola_point
@@ -273,6 +272,57 @@ def _quartic_gamma0(kappa, gamma):
     return (8 + kappa) / (4 * kappa) - np.sqrt(disc) / (2 * kappa)
 
 
+def _quadratic_root_in(a, b, c, lo, hi):
+    """The root of a t^2 + b t + c = 0 that lies in [lo, hi].
+
+    Both roots come from the cancellation-free pair m / a and c / m with
+    m = -(b + sign(b) sqrt(b^2 - 4ac)) / 2.
+    """
+    disc = b * b - 4 * a * c
+    if disc > 0:
+        m = -(b + np.copysign(np.sqrt(disc), b)) / 2
+        for t in (m / a, c / m):
+            if lo <= t <= hi:
+                return float(t)
+    raise DomainError(f"no root of {a} t^2 + {b} t + {c} in [{lo}, {hi}]")
+
+
+def _intersection_params(kappa):
+    """Curve parameters of the special points P0, Q1 and P1.
+
+    P0: green p(t) = v - (kappa/2) t^2 equals p0 on [0.2, 0.3] + 1/kappa.
+    Q1: red p(t) = (2 + kappa/2) t - (kappa/2) t^2 equals p0' on the
+    descending branch [-6 - 6/kappa, 0].  P1: red q(t) = (3 + kappa/2) t -
+    kappa t^2 equals the ordinate of P0 past the vertex.
+    """
+    sp = _spec.special_points(kappa)
+    v = (4 + kappa) ** 2 / (8 * kappa)
+    g_p0 = _quadratic_root_in(-kappa / 2, 0.0, v - sp.p0, 0.2 + 1 / kappa, 0.3 + 1 / kappa)
+    g_q1 = _quadratic_root_in(-kappa / 2, 2 + kappa / 2, -sp.p0prime, -6 - 6 / kappa, 0.0)
+    g_vertex = (3 + kappa / 2) / (2 * kappa)
+    g_p1 = _quadratic_root_in(-kappa, 3 + kappa / 2, -sp.P0[1],
+                              g_vertex, g_vertex + 1 / kappa + 1)
+    return g_p0, g_q1, g_p1
+
+
+def _companion_gamma0(kappa, gamma, start):
+    """Companion exponent g0 by Newton's method from ``start``.
+
+    g0 solves (8 + kappa)/2 g0 - kappa g0^2 = (4 + kappa)/2 gamma - kappa
+    gamma^2 - 1.  The left side is concave, so from a start below the lower
+    root the iterates rise to that root without overshooting it.
+    """
+    target = (4 + kappa) / 2 * gamma - kappa * gamma**2 - 1
+    g0 = start
+    for _ in range(50):
+        step = ((8 + kappa) / 2 * g0 - kappa * g0**2 - target) / ((8 + kappa) / 2 - 2 * kappa * g0)
+        g0 -= step
+        if abs(step) <= 1e-12 * (1 + abs(g0)):
+            return float(g0)
+    raise DomainError(f"Newton's method for the companion exponent did not converge "
+                      f"at kappa={kappa}, gamma={gamma}")
+
+
 def seed_systems(kappa, n_params=7):
     """Re-derive each separatrix from its coefficient-system seeds.
 
@@ -311,20 +361,14 @@ def seed_systems(kappa, n_params=7):
                    "residual": worst, "order_estimate": None,
                    "pass": bool(worst < 1e-10)})
 
-    # quartic: companion exponent from the compatibility relation
-    #   (4+kappa)/2 g - kappa g^2 - 1 = (8+kappa)/2 g0 - kappa g0^2
-    # solved numerically on the lower branch 2 g0 + 1 <= 0 region side
+    # quartic: companion exponent from the compatibility relation, solved
+    # numerically and compared with the closed form of _quartic_gamma0
     worst = 0.0
     disc_min = np.inf
     for g in np.linspace(1 + 2 / kappa, 1 + 2 / kappa + 3.0, n_params):
         disc_min = min(disc_min, _spec._quartic_disc(kappa, g))
-        target = (4 + kappa) / 2 * g - kappa * g**2 - 1
-
-        def eqn(g0):
-            return (8 + kappa) / 2 * g0 - kappa * g0**2 - target
-
         g0_exact = _quartic_gamma0(kappa, g)
-        g0 = fsolve(eqn, g0_exact - 0.1, full_output=False)[0]
+        g0 = _companion_gamma0(kappa, g, g0_exact - 0.1)
         p = (2 + kappa / 2) * g0 - (kappa / 2) * g0**2
         q = p + g - (kappa / 2) * g**2
         pe, qe = _spec.curve_eval("blueQuartic", kappa, g)
@@ -336,8 +380,7 @@ def seed_systems(kappa, n_params=7):
 
     # intersections: red/green tangency points and the quartic corner
     p0, q0 = sp.P0
-    g_p0 = brentq(lambda t: _spec.curve_eval("greenParabola", kappa, t)[0] - p0,
-                  0.2 + 1 / kappa, 0.3 + 1 / kappa, xtol=1e-14)
+    g_p0, g_q1, g_p1 = _intersection_params(kappa)
     pg, qg = _spec.curve_eval("greenParabola", kappa, g_p0)
     res_P0 = max(abs(pg - p0), abs(qg - q0), abs(g_p0 - (0.25 + 1 / kappa)))
 
@@ -348,16 +391,9 @@ def seed_systems(kappa, n_params=7):
     pg0, qg0 = _spec.curve_eval("greenParabola", kappa, 1 + 2 / kappa)
     res_Q0 = max(res_Q0, abs(pg0 - sp.Q0[0]), abs(qg0 - sp.Q0[1]))
 
-    # Q1: red parabola crossing D0prime, on the descending (negative) branch
-    g_q1 = brentq(lambda t: _spec.curve_eval("redParabola", kappa, t)[0] - sp.p0prime,
-                  -6 - 6 / kappa, 0.0, xtol=1e-14)
     pr1, qr1 = _spec.curve_eval("redParabola", kappa, g_q1)
     res_Q1 = max(abs(pr1 - sp.Q1[0]), abs(qr1 - sp.Q1[1]))
 
-    # P1 sits on the red parabola at the same ordinate as P0, past the vertex
-    g_vertex = (3 + kappa / 2) / (2 * kappa)
-    g_p1 = brentq(lambda t: _spec.curve_eval("redParabola", kappa, t)[1] - q0,
-                  g_vertex, g_vertex + 1 / kappa + 1, xtol=1e-14)
     res_P1 = abs(_spec.curve_eval("redParabola", kappa, g_p1)[0] - sp.P1[0])
 
     worst = max(res_P0, res_Q0, res_Q1, res_P1)

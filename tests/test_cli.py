@@ -114,6 +114,27 @@ class TestExitCodes:
     def test_unparseable_z_is_1(self):
         assert run(["moments", "--z", "fish", "--n-samples", "2"]) == 1
 
+    @pytest.mark.parametrize("argv", [
+        ["check", "--kappa", "0"],
+        ["spectrum", "--kappa", "0", "--p", "0", "--q", "0"],
+        ["phase-diagram", "--kappa", "0", "--resolution", "4", "--curve-points", "4"],
+        ["xy-geometry", "--kappa", "0", "--resolution", "4"],
+        ["check", "--kappa", "-1", "--suite", "algebra"],
+        ["check", "--kappa", "nan"],
+        ["spectrum", "--kappa", "inf", "--p", "0", "--q", "0"],
+    ])
+    def test_bad_kappa_is_1(self, argv, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert run(argv + ["--output", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("error: kappa must be finite and > 0")
+        assert not out.exists()
+
+    def test_bad_kappa_in_config_is_1(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"kappa": "six"}))
+        assert run(["check", "--config", str(cfg)]) == 1
+        assert capsys.readouterr().err.startswith("error: kappa must be finite and > 0")
+
     def test_check_all_pass_exit_0(self, tmp_path):
         out = tmp_path / "r.json"
         code = run(["check", "--suite", "algebra", "--kappa", "6",

@@ -77,6 +77,11 @@ class TestParabola:
         with pytest.raises(DomainError):
             parabola_gamma(6.0, 10.0)
 
+    @pytest.mark.parametrize("branch", ["x", "", None, "+-"])
+    def test_unknown_branch_rejected(self, branch):
+        with pytest.raises(DomainError, match=r"'\+' or '-'"):
+            parabola_gamma(6.0, 1.0, branch=branch)
+
     def test_spec_consistency_check(self):
         MomentSpec(2.0, 2.0, gamma=1.0).check(2.0)
         with pytest.raises(DomainError):

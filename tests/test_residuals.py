@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -112,10 +113,47 @@ class TestPDEResiduals:
 
 
 class TestSeedSystems:
-    @pytest.mark.parametrize("kappa", [2.0, 6.0, 50.0])
+    @pytest.mark.parametrize("kappa", [0.5, 2.0, 6.0, 12.0, 50.0])
     def test_all_seed_checks_pass(self, kappa):
-        for rep in rs.seed_systems(kappa):
+        reps = rs.seed_systems(kappa)
+        assert [r["check"] for r in reps] == ["seed_red", "seed_green", "seed_quartic",
+                                              "seed_intersections"]
+        for rep in reps:
             assert rep["pass"], rep
+
+    @pytest.mark.parametrize("kappa", [0.5, 2.0, 6.0, 12.0, 50.0])
+    def test_roots_match_brentq_oracle(self, kappa):
+        # the closed-form curve parameters and Newton's companion exponent
+        # against bracketed root-finds on the curve equations themselves
+        pts = sp.special_points(kappa)
+        g_vertex = (3 + kappa / 2) / (2 * kappa)
+        oracle = (
+            brentq(lambda t: sp.curve_eval("greenParabola", kappa, t)[0] - pts.p0,
+                   0.2 + 1 / kappa, 0.3 + 1 / kappa, xtol=1e-15),
+            brentq(lambda t: sp.curve_eval("redParabola", kappa, t)[0] - pts.p0prime,
+                   -6 - 6 / kappa, 0.0, xtol=1e-15),
+            brentq(lambda t: sp.curve_eval("redParabola", kappa, t)[1] - pts.P0[1],
+                   g_vertex, g_vertex + 1 / kappa + 1, xtol=1e-15),
+        )
+        np.testing.assert_allclose(rs._intersection_params(kappa), oracle, rtol=0, atol=1e-13)
+        np.testing.assert_allclose(oracle, (0.25 + 1 / kappa, -0.5, 0.25 + 2 / kappa),
+                                   rtol=0, atol=1e-13)
+        for g in np.linspace(1 + 2 / kappa, 4 + 2 / kappa, 7):
+            target = (4 + kappa) / 2 * g - kappa * g**2 - 1
+            # the lower root lies below the vertex of the concave left side
+            g0_oracle = brentq(lambda g0: (8 + kappa) / 2 * g0 - kappa * g0**2 - target,
+                               -10.0, (8 + kappa) / (4 * kappa), xtol=1e-15)
+            g0_exact = rs._quartic_gamma0(kappa, g)
+            assert abs(rs._companion_gamma0(kappa, g, g0_exact - 0.1) - g0_oracle) < 1e-13
+            assert abs(g0_exact - g0_oracle) < 1e-13
+
+    def test_no_root_in_bracket_rejected(self):
+        # t^2 - 1 has roots +-1, none of them in [2, 3]; t^2 + 1 has none
+        assert rs._quadratic_root_in(1.0, 0.0, -1.0, 0.5, 3.0) == 1.0
+        with pytest.raises(DomainError):
+            rs._quadratic_root_in(1.0, 0.0, -1.0, 2.0, 3.0)
+        with pytest.raises(DomainError):
+            rs._quadratic_root_in(1.0, 0.0, 1.0, -3.0, 3.0)
 
     @pytest.mark.parametrize("kappa, gamma", [(-4.0, 0.0), (-2.0, -0.25), (6.0, float("nan"))])
     def test_quartic_gamma0_rejects_nonpositive_discriminant(self, kappa, gamma):

@@ -1,7 +1,11 @@
 """Rules on the package source that CI enforces."""
 
 import ast
+import json
+import os
 import pathlib
+import subprocess
+import sys
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "slelab"
 
@@ -15,3 +19,56 @@ def test_no_assert_statements():
              for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
              if isinstance(node, ast.Assert)]
     assert not found, f"assert statements in src/slelab: {found}"
+
+
+def _imported_modules(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            yield node.module
+
+
+def test_no_scipy_imports():
+    # importing SciPy costs 0.5-0.7 s and about 49 MB at start-up; it is a
+    # test dependency only, and imports inside functions count too
+    paths = sorted(SRC.glob("*.py"))
+    assert paths
+    found = [f"{path.name}: {name}"
+             for path in paths
+             for name in _imported_modules(ast.parse(path.read_text(), filename=str(path)))
+             if name.split(".")[0] == "scipy"]
+    assert not found, f"scipy imports in src/slelab: {found}"
+
+
+_CLI_CALLS = [
+    ["check", "--suite", "all", "--kappa", "6"],
+    ["spectrum", "--kappa", "6", "--p", "0", "--q", "0"],
+    ["phase-diagram", "--kappa", "6", "--resolution", "8", "--curve-points", "10"],
+    ["xy-geometry", "--kappa", "6", "--resolution", "8"],
+    ["universal", "--resolution", "8"],
+    ["means-scan", "--kappa", "6", "--p", "1.75", "--q", "1.5", "--n-r", "5"],
+    ["moments", "--kappa", "2", "--z", "0.3", "--n-samples", "2", "--dt", "0.1", "--T", "0.5"],
+]
+
+
+_SCRIPT = """
+import json, os, sys
+from slelab import cli
+for i, argv in enumerate(json.loads(sys.argv[1])):
+    rc = cli.main(argv + ["--no-header", "--output", os.path.join(sys.argv[2], f"out{i}.csv")])
+    if rc != 0:
+        sys.exit(f"{argv} exited {rc}")
+print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+"""
+
+
+def test_cli_runs_without_scipy(tmp_path):
+    # a fresh interpreter, so that no test module has imported SciPy yet
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC.parent), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", _SCRIPT, json.dumps(_CLI_CALLS), str(tmp_path)],
+                          capture_output=True, text=True, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+    assert all((tmp_path / f"out{i}.csv").stat().st_size for i in range(len(_CLI_CALLS)))
