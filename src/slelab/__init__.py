@@ -15,7 +15,6 @@ from .flow import (
     SingularityError,
     WholePlaneSample,
     constant_driver,
-    dump_samples_csv,
     evolve,
     refine_driver,
     sample_driver,
@@ -26,7 +25,6 @@ from .moments import (
     LogCoeffStats,
     MeansScan,
     MomentEstimate,
-    MomentSpec,
     circle_points,
     closed_moduli,
     closed_one_point,

@@ -4,9 +4,16 @@ Every subcommand emits CSV (default) or JSON with a fixed, versioned
 column schema declared in a header comment line, so figures can be
 reproduced by any external plotting tool.  Re-running a subcommand with
 identical configuration yields byte-identical files apart from a
-timestamp comment that ``--no-header`` suppresses.
+timestamp comment that ``--no-header`` suppresses.  Two subcommands
+write one format of their own: ``simulate`` a CSV table whose first
+line is its plain header row, and ``check`` a JSON list of reports.
+Neither writes a timestamp, so both accept ``--no-header`` and it does
+nothing there.
 
-Exit codes: 0 success, 1 validation error, 2 numerical failure,
+Each subcommand takes only the flags it reads; ``--config`` names a JSON
+file of defaults for them, which the flags given override.
+
+Exit codes: 0 success, 1 validation or usage error, 2 numerical failure,
 3 failed residual/acceptance check in ``check``.
 """
 
@@ -131,6 +138,11 @@ def _write_json(fh, columns, rows, generated):
     fh.write("\n}\n")
 
 
+def _open_output(path):
+    """The file at ``path``, opened for writing, or stdout when no path is given."""
+    return open(path, "w") if path else contextlib.nullcontext(sys.stdout)
+
+
 def _emit(args, columns, rows, suffix=""):
     """Write a table as CSV or JSON to the output path (or stdout).
 
@@ -140,7 +152,7 @@ def _emit(args, columns, rows, suffix=""):
     if out and suffix:
         root, ext = os.path.splitext(out)
         out = f"{root}.{suffix}{ext or '.csv'}"
-    with open(out, "w") if out else contextlib.nullcontext(sys.stdout) as fh:
+    with _open_output(out) as fh:
         stamp = None
         if not args.no_header:
             stamp = datetime.datetime.now(datetime.timezone.utc).isoformat()
@@ -190,11 +202,14 @@ def _cmd_simulate(args):
     if not zs:
         raise ConfigError("simulate requires at least one --z point")
     sample = _ensemble(args, zs)
-    if args.output:
-        with open(args.output, "w") as fh:
-            flow.dump_samples_csv(sample, fh)
-    else:
-        flow.dump_samples_csv(sample, sys.stdout)
+    n, k = sample.logf.shape
+    lf, lfp = sample.logf.ravel(), sample.logfp.ravel()
+    rows = _Table(np.repeat(sample.stream_ids, k), np.tile(sample.z.real, n),
+                  np.tile(sample.z.imag, n), lf.real, lf.imag, lfp.real, lfp.imag)
+    with _open_output(args.output) as fh:
+        fh.write("stream_id,z_re,z_im,logf_re,logf_im,logfp_re,logfp_im\r\n")
+        for text in _text_blocks(rows, ",", "\r\n", "\r\n"):
+            fh.write(text)
     return 0
 
 
@@ -262,7 +277,7 @@ def _cmd_log_coeffs(args):
 
 def _cmd_means_scan(args):
     r_grid = np.linspace(args.r_min, args.r_max, args.n_r)
-    scan = moments.integral_means_scan(args.integrand, args.p, args.q,
+    scan = moments.integral_means_scan("closed", args.p, args.q,
                                        args.kappa, r_grid,
                                        angular_M=args.angular_m)
     beta = scan.beta if scan.beta is not None else float("nan")
@@ -359,12 +374,8 @@ def _cmd_universal(args):
 
 def _cmd_check(args):
     reports = residuals.run_all_checks(args.kappa, suite=args.suite, seed=args.seed)
-    text = json.dumps(reports, indent=2, default=float) + "\n"
-    if args.output:
-        with open(args.output, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    with _open_output(args.output) as fh:
+        fh.write(json.dumps(reports, indent=2, default=float) + "\n")
     return 0 if all(r["pass"] for r in reports) else 3
 
 
@@ -381,119 +392,110 @@ def _cmd_diagnose(args):
 # ---------------------------------------------------------------------------
 # argument parsing
 
+# Every flag, by name: its argparse keywords and its default.  Flag --a-b
+# sets args.a_b, and a --config file sets it by the key "a-b" or "a_b".
+_FLAGS = {
+    "kappa": ({"type": float}, 2.0),
+    "seed": ({"type": int}, 0),
+    "workers": ({"type": int}, 1),
+    "T": ({"type": float}, 8.0),
+    "dt": ({"type": float}, 1e-3),
+    "n-samples": ({"type": int}, 1000),
+    "p": ({"type": float}, 2.0),
+    "q": ({"type": float}, 2.0),
+    "z": ({}, []),
+    "kind": ({"choices": ("complex", "moduli")}, "complex"),
+    "z1": ({}, "0.3"),
+    "z2": ({}, "0.25"),
+    "radius": ({"type": float}, 0.7),
+    "fft-size": ({"type": int}, 32),
+    "n-max": ({"type": int}, 5),
+    "r-min": ({"type": float}, 0.5),
+    "r-max": ({"type": float}, 0.99),
+    "n-r": ({"type": int}, 40),
+    "angular-m": ({"type": int}, 512),
+    "m": ({"type": int}, 1),
+    "resolution": ({"type": int}, 400),
+    "curve-points": ({"type": int}, 200),
+    "p-min": ({"type": float}, None),
+    "p-max": ({"type": float}, None),
+    "q-min": ({"type": float}, None),
+    "q-max": ({"type": float}, None),
+    "p-dagger": ({"type": float}, -2.0),
+    "suite": ({"choices": residuals.SUITES}, "all"),
+    "T-list": ({"type": float}, None),
+    "output": ({}, None),
+    "format": ({"choices": ("csv", "json")}, "csv"),
+    "no-header": ({"action": "store_true"}, False),
+    "config": ({"help": "JSON file of defaults, overridden by flags"}, None),
+}
 
-def _add_common(sp_parser, sim=False, pq=False):
-    sp_parser.add_argument("--kappa", type=float, default=argparse.SUPPRESS)
-    sp_parser.add_argument("--seed", type=int, default=argparse.SUPPRESS)
-    sp_parser.add_argument("--workers", type=int, default=argparse.SUPPRESS)
-    sp_parser.add_argument("--output", default=argparse.SUPPRESS)
-    sp_parser.add_argument("--format", choices=("csv", "json"), default=argparse.SUPPRESS)
-    sp_parser.add_argument("--no-header", action="store_true", default=argparse.SUPPRESS)
-    sp_parser.add_argument("--config", default=argparse.SUPPRESS,
-                           help="JSON file of defaults, overridden by flags")
-    if sim:
-        sp_parser.add_argument("--T", type=float, default=argparse.SUPPRESS)
-        sp_parser.add_argument("--dt", type=float, default=argparse.SUPPRESS)
-        sp_parser.add_argument("--n-samples", type=int, default=argparse.SUPPRESS)
-    if pq:
-        sp_parser.add_argument("--p", type=float, default=argparse.SUPPRESS)
-        sp_parser.add_argument("--q", type=float, default=argparse.SUPPRESS)
+_SIM = ("kappa", "seed", "workers", "T", "dt", "n-samples")
+_OUT = ("output", "format", "no-header", "config")
 
-
-_DEFAULTS = {
-    "kappa": 2.0, "seed": 0, "workers": 1, "output": None, "format": "csv",
-    "no_header": False, "config": None, "T": 8.0, "dt": 1e-3,
-    "n_samples": 1000, "p": 2.0, "q": 2.0, "z": [], "m": 1,
-    "kind": "complex", "z1": "0.3", "z2": "0.25",
-    "radius": 0.7, "fft_size": 32, "n_max": 5,
-    "integrand": "closed", "r_min": 0.5, "r_max": 0.99, "n_r": 40,
-    "angular_m": 512, "resolution": 400, "curve_points": 200,
-    "p_min": None, "p_max": None, "q_min": None, "q_max": None,
-    "p_dagger": -2.0, "suite": "all", "T_list": None,
+# Every subcommand: its help text, the name of its handler and the flags the
+# handler reads.  A trailing "+" makes a flag repeatable, each use appending
+# to a list.  Handlers are looked up by name when the parser is built, so a
+# wrapper set on this module in the meantime is the one that runs.
+_COMMANDS = {
+    "simulate": ("dump whole-plane samples as CSV", "_cmd_simulate",
+                 (*_SIM, "z+", "output", "no-header", "config")),
+    "moments": ("MC moment estimates vs closed forms", "_cmd_moments",
+                (*_SIM, "p", "q", "z+", "kind", *_OUT)),
+    "two-point": ("two-point moment estimate", "_cmd_two_point",
+                  (*_SIM, "p", "q", "z1", "z2", *_OUT)),
+    "log-coeffs": ("logarithmic coefficient statistics", "_cmd_log_coeffs",
+                   (*_SIM, "radius", "fft-size", "n-max", *_OUT)),
+    "means-scan": ("integral means growth scan", "_cmd_means_scan",
+                   ("kappa", "p", "q", "r-min", "r-max", "n-r", "angular-m", *_OUT)),
+    "spectrum": ("spectrum value and region at points", "_cmd_spectrum",
+                 ("kappa", "p+", "q+", "m", *_OUT)),
+    "phase-diagram": ("region grid and separatrix curves", "_cmd_phase_diagram",
+                      ("kappa", "m", "resolution", "curve-points",
+                       "p-min", "p-max", "q-min", "q-max", *_OUT)),
+    "xy-geometry": ("conic-coordinate spectra grid", "_cmd_xy_geometry",
+                    ("kappa", "resolution", *_OUT)),
+    "universal": ("universal spectrum partition data", "_cmd_universal",
+                  ("resolution", "p-dagger", *_OUT)),
+    "check": ("residual and algebra check suite", "_cmd_check",
+              ("kappa", "seed", "suite", "output", "no-header", "config")),
+    "diagnose": ("stationarity diagnostic over horizons", "_cmd_diagnose",
+                 (*_SIM, "p", "q", "z+", "T-list+", *_OUT)),
 }
 
 
+def _flag_names(command):
+    """The names of the flags of a subcommand, without the "+" marks."""
+    return [f.rstrip("+") for f in _COMMANDS[command][2]]
+
+
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors exit 1, the validation-error code."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(prog="slelab", description=__doc__)
+    parser = _Parser(prog="slelab", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    s = sub.add_parser("simulate", help="dump whole-plane samples as CSV")
-    _add_common(s, sim=True)
-    s.add_argument("--z", action="append", default=argparse.SUPPRESS)
-    s.set_defaults(func=_cmd_simulate)
-
-    s = sub.add_parser("moments", help="MC moment estimates vs closed forms")
-    _add_common(s, sim=True, pq=True)
-    s.add_argument("--z", action="append", default=argparse.SUPPRESS)
-    s.add_argument("--kind", choices=("complex", "moduli"), default=argparse.SUPPRESS)
-    s.set_defaults(func=_cmd_moments)
-
-    s = sub.add_parser("two-point", help="two-point moment estimate")
-    _add_common(s, sim=True, pq=True)
-    s.add_argument("--z1", default=argparse.SUPPRESS)
-    s.add_argument("--z2", default=argparse.SUPPRESS)
-    s.set_defaults(func=_cmd_two_point)
-
-    s = sub.add_parser("log-coeffs", help="logarithmic coefficient statistics")
-    _add_common(s, sim=True)
-    s.add_argument("--radius", type=float, default=argparse.SUPPRESS)
-    s.add_argument("--fft-size", type=int, default=argparse.SUPPRESS)
-    s.add_argument("--n-max", type=int, default=argparse.SUPPRESS)
-    s.set_defaults(func=_cmd_log_coeffs)
-
-    s = sub.add_parser("means-scan", help="integral means growth scan")
-    _add_common(s, pq=True)
-    s.add_argument("--integrand", default=argparse.SUPPRESS)
-    s.add_argument("--r-min", type=float, default=argparse.SUPPRESS)
-    s.add_argument("--r-max", type=float, default=argparse.SUPPRESS)
-    s.add_argument("--n-r", type=int, default=argparse.SUPPRESS)
-    s.add_argument("--angular-m", type=int, default=argparse.SUPPRESS)
-    s.set_defaults(func=_cmd_means_scan)
-
-    s = sub.add_parser("spectrum", help="spectrum value and region at points")
-    _add_common(s)
-    s.add_argument("--p", type=float, action="append", default=argparse.SUPPRESS)
-    s.add_argument("--q", type=float, action="append", default=argparse.SUPPRESS)
-    s.add_argument("--m", type=int, default=argparse.SUPPRESS)
-    s.set_defaults(func=_cmd_spectrum)
-
-    s = sub.add_parser("phase-diagram", help="region grid and separatrix curves")
-    _add_common(s)
-    s.add_argument("--m", type=int, default=argparse.SUPPRESS)
-    s.add_argument("--resolution", type=int, default=argparse.SUPPRESS)
-    s.add_argument("--curve-points", type=int, default=argparse.SUPPRESS)
-    for f in ("p-min", "p-max", "q-min", "q-max"):
-        s.add_argument(f"--{f}", type=float, default=argparse.SUPPRESS)
-    s.set_defaults(func=_cmd_phase_diagram)
-
-    s = sub.add_parser("xy-geometry", help="conic-coordinate spectra grid")
-    _add_common(s)
-    s.add_argument("--resolution", type=int, default=argparse.SUPPRESS)
-    s.set_defaults(func=_cmd_xy_geometry)
-
-    s = sub.add_parser("universal", help="universal spectrum partition data")
-    _add_common(s)
-    s.add_argument("--resolution", type=int, default=argparse.SUPPRESS)
-    s.add_argument("--p-dagger", type=float, default=argparse.SUPPRESS)
-    s.set_defaults(func=_cmd_universal)
-
-    s = sub.add_parser("check", help="residual and algebra check suite")
-    _add_common(s)
-    s.add_argument("--suite", choices=residuals.SUITES,
-                   default=argparse.SUPPRESS)
-    s.set_defaults(func=_cmd_check)
-
-    s = sub.add_parser("diagnose", help="stationarity diagnostic over horizons")
-    _add_common(s, sim=True, pq=True)
-    s.add_argument("--z", action="append", default=argparse.SUPPRESS)
-    s.add_argument("--T-list", type=float, action="append", default=argparse.SUPPRESS)
-    s.set_defaults(func=_cmd_diagnose)
-
+    for command, (help_text, handler, flags) in _COMMANDS.items():
+        s = sub.add_parser(command, help=help_text)
+        for flag in flags:
+            name = flag.rstrip("+")
+            kwargs = dict(_FLAGS[name][0], default=argparse.SUPPRESS)
+            if flag != name:
+                kwargs["action"] = "append"
+            s.add_argument(f"--{name}", **kwargs)
+        s.set_defaults(func=globals()[handler])
     return parser
 
 
 def _merge_config(args):
-    merged = dict(_DEFAULTS)
+    """The flags given, over the --config file's keys, over the defaults of
+    the subcommand's flags."""
+    merged = {name.replace("-", "_"): _FLAGS[name][1] for name in _flag_names(args.command)}
     path = getattr(args, "config", None)
     if path:
         with open(path) as fh:
@@ -504,7 +506,11 @@ def _merge_config(args):
         if not isinstance(file_cfg, dict):
             raise ConfigError("config file must hold a JSON object")
         for k, v in file_cfg.items():
-            merged[k.replace("-", "_")] = v
+            key = k.replace("-", "_")
+            if key not in merged:
+                raise ConfigError(f"config key {k!r} names no flag of {args.command}; "
+                                  f"its flags: {', '.join(_flag_names(args.command))}")
+            merged[key] = v
     merged.update(vars(args))
     return argparse.Namespace(**merged)
 
@@ -514,7 +520,8 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         args = _merge_config(args)
-        if not isinstance(args.kappa, (int, float)) or not 0 < args.kappa < math.inf:
+        if hasattr(args, "kappa") and not (
+                isinstance(args.kappa, (int, float)) and 0 < args.kappa < math.inf):
             raise ConfigError(f"kappa must be finite and > 0, got {args.kappa!r}")
         return args.func(args)
     except (ConfigError, DomainError, FileNotFoundError, ValueError) as exc:

@@ -10,9 +10,9 @@ consistent values of ``log f(z)`` and ``log f'(z)``.
 
 from __future__ import annotations
 
-import csv
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -22,7 +22,6 @@ __all__ = [
     "SingularityError",
     "SimConfig",
     "DrivingPath",
-    "FlowStates",
     "WholePlaneSample",
     "sample_driver",
     "constant_driver",
@@ -30,7 +29,6 @@ __all__ = [
     "evolve",
     "whole_plane_sample",
     "sample_ensemble",
-    "dump_samples_csv",
 ]
 
 
@@ -57,7 +55,6 @@ class SimConfig:
     dt: float = 1e-3
     seed: int = 0
     stream_id: int = 0
-    singular_delta: float = 0.1
     r_max: float = 0.9
 
     def __post_init__(self):
@@ -67,8 +64,6 @@ class SimConfig:
             raise ConfigError(f"horizon_T must be > 0, got {self.horizon_T}")
         if not 0 < self.dt <= self.horizon_T:
             raise ConfigError(f"dt must be in (0, horizon_T], got {self.dt}")
-        if not 0 < self.singular_delta < 1:
-            raise ConfigError("singular_delta must be in (0, 1)")
         if not 0 < self.r_max < 1:
             raise ConfigError("r_max must be in (0, 1)")
 
@@ -158,24 +153,51 @@ def refine_driver(path: DrivingPath, cfg: SimConfig, rng=None) -> tuple[DrivingP
 
 
 @dataclass(frozen=True)
-class FlowStates:
-    """Batch of flow states at the horizon.
+class WholePlaneSample:
+    """Flow states at the horizon: one whole-plane map per path, evaluated
+    at the points ``z``.
 
-    Arrays have shape (n_paths, n_points): ``w`` is the flow image,
+    Arrays have shape (n_samples, n_points): ``w`` is the flow image,
     ``logderiv`` the tracked branch of log of the spatial derivative,
-    ``logratio`` the tracked branch of log(w / z0).  ``substeps`` counts
-    the RK4 sub-steps taken by the whole batch: ``n_steps`` when no step
-    was split.
+    ``logratio`` the tracked branch of log(w / z).  ``stream_ids`` has
+    length n_samples and records which substream produced each row.
+    ``substeps`` counts the RK4 sub-steps taken, summed over the batches:
+    ``n_steps`` per batch when no step was split.
     """
 
-    z0: np.ndarray
+    z: np.ndarray
     w: np.ndarray
     logderiv: np.ndarray
     logratio: np.ndarray
-    t: float
+    config: SimConfig
+    stream_ids: np.ndarray
     substeps: int
 
+    @cached_property
+    def logf(self):
+        """log f(z) = T + log(w / z) + log z of the horizon-T map."""
+        with np.errstate(divide="ignore"):
+            logz = np.log(self.z)
+        return self.config.horizon_T + self.logratio + logz
 
+    @cached_property
+    def logfp(self):
+        """log f'(z) = T + log w'(z) of the horizon-T map."""
+        return self.config.horizon_T + self.logderiv
+
+    @property
+    def n_samples(self):
+        return self.w.shape[0]
+
+    def point_index(self, z):
+        idx = np.flatnonzero(np.isclose(self.z, complex(z), rtol=0, atol=1e-12))
+        if idx.size == 0:
+            raise DomainError(f"point {z} is not among the sample points")
+        return int(idx[0])
+
+
+# distance to the driving point below which a step is split into sub-steps
+_SINGULAR_DELTA = 0.1
 # minimum admissible distance to the driving point before aborting
 _W_LAMBDA_FLOOR = 1e-13
 # slack allowed on the exact monotone decrease of |w|
@@ -246,7 +268,7 @@ def _rk4_substep(w, ld, lr, lam0, lam_half, lam1, h):
     return k1, sq, a2
 
 
-def evolve(path: DrivingPath, cfg: SimConfig, points) -> FlowStates:
+def evolve(path: DrivingPath, cfg: SimConfig, points) -> WholePlaneSample:
     """Integrate the conjugate reverse radial flow to t = horizon_T.
 
     The ODE for each point is dw/dt = w (w + lam)/(w - lam) with
@@ -255,7 +277,7 @@ def evolve(path: DrivingPath, cfg: SimConfig, points) -> FlowStates:
     alongside so no complex logarithm is ever taken.
 
     Each macro step is one RK4 step, unless the batch comes within
-    ``singular_delta`` of the driving point: the step is then split into
+    ``_SINGULAR_DELTA`` of the driving point: the step is then split into
     sub-steps shrinking with the square of the batch-wide min |w - lam|.
     """
     z0 = np.asarray(points, dtype=complex).reshape(-1)
@@ -271,7 +293,7 @@ def evolve(path: DrivingPath, cfg: SimConfig, points) -> FlowStates:
     ld = np.zeros_like(w)
     lr = np.zeros_like(w)
     absw = np.abs(w)
-    delta = cfg.singular_delta
+    delta = _SINGULAR_DELTA
     n_steps = len(t) - 1
     # The monotone check below keeps |w| <= max|z0| + n_steps * slack, and
     # |w - lam| >= 1 - |w|: when that stays >= delta no step can be split,
@@ -317,53 +339,15 @@ def evolve(path: DrivingPath, cfg: SimConfig, points) -> FlowStates:
                 elapsed += h
                 lam0 = lam1
 
-    return FlowStates(z0=z0, w=w, logderiv=ld, logratio=lr, t=cfg.horizon_T, substeps=substeps)
-
-
-@dataclass(frozen=True)
-class WholePlaneSample:
-    """Per-sample (log f(z), log f'(z)) of the horizon-T whole-plane map.
-
-    ``logf`` and ``logfp`` have shape (n_samples, n_points); ``stream_ids``
-    has length n_samples and records which substream produced each row.
-    """
-
-    z: np.ndarray
-    logf: np.ndarray
-    logfp: np.ndarray
-    config: SimConfig
-    stream_ids: np.ndarray = field(default=None)
-
-    @property
-    def n_samples(self):
-        return self.logf.shape[0]
-
-    def point_index(self, z):
-        idx = np.flatnonzero(np.isclose(self.z, complex(z), rtol=0, atol=1e-12))
-        if idx.size == 0:
-            raise DomainError(f"point {z} is not among the sample points")
-        return int(idx[0])
-
-
-def _to_sample(states: FlowStates, cfg: SimConfig, stream_ids) -> WholePlaneSample:
-    T = cfg.horizon_T
-    with np.errstate(divide="ignore"):
-        logz = np.log(states.z0)
-    return WholePlaneSample(
-        z=states.z0,
-        logf=T + states.logratio + logz,
-        logfp=T + states.logderiv,
-        config=cfg,
-        stream_ids=np.asarray(stream_ids),
-    )
+    return WholePlaneSample(z=z0, w=w, logderiv=ld, logratio=lr, config=cfg,
+                            stream_ids=np.full(n_paths, cfg.stream_id), substeps=substeps)
 
 
 def whole_plane_sample(cfg: SimConfig, points, path: DrivingPath | None = None) -> WholePlaneSample:
     """One whole-plane map realization evaluated at ``points``."""
     if path is None:
         path = sample_driver(cfg)
-    states = evolve(path, cfg, points)
-    return _to_sample(states, cfg, [cfg.stream_id] * states.w.shape[0])
+    return evolve(path, cfg, points)
 
 
 def sample_ensemble(
@@ -383,16 +367,14 @@ def sample_ensemble(
     if n_samples == 0:
         z0 = np.asarray(points, dtype=complex).reshape(-1)
         empty = np.zeros((0, z0.size), dtype=complex)
-        return WholePlaneSample(z=z0, logf=empty, logfp=empty.copy(), config=cfg,
-                                stream_ids=np.zeros(0, dtype=int))
+        return WholePlaneSample(z=z0, w=empty, logderiv=empty.copy(), logratio=empty.copy(),
+                                config=cfg, stream_ids=np.zeros(0, dtype=int), substeps=0)
     n_streams = -(-n_samples // paths_per_stream)
 
     def run(s):
         count = min(paths_per_stream, n_samples - s * paths_per_stream)
         scfg = replace(cfg, stream_id=cfg.stream_id + s)
-        path = sample_driver(scfg, n_paths=count)
-        states = evolve(path, scfg, points)
-        return _to_sample(states, scfg, [scfg.stream_id] * count)
+        return evolve(sample_driver(scfg, n_paths=count), scfg, points)
 
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
@@ -402,20 +384,10 @@ def sample_ensemble(
 
     return WholePlaneSample(
         z=parts[0].z,
-        logf=np.concatenate([p.logf for p in parts]),
-        logfp=np.concatenate([p.logfp for p in parts]),
+        w=np.concatenate([p.w for p in parts]),
+        logderiv=np.concatenate([p.logderiv for p in parts]),
+        logratio=np.concatenate([p.logratio for p in parts]),
         config=cfg,
         stream_ids=np.concatenate([p.stream_ids for p in parts]),
+        substeps=sum(p.substeps for p in parts),
     )
-
-
-def dump_samples_csv(sample: WholePlaneSample, fileobj):
-    """Write (stream_id, z_re, z_im, logf_re, logf_im, logfp_re, logfp_im)."""
-    writer = csv.writer(fileobj)
-    writer.writerow(["stream_id", "z_re", "z_im", "logf_re", "logf_im", "logfp_re", "logfp_im"])
-    for i in range(sample.n_samples):
-        sid = int(sample.stream_ids[i]) if sample.stream_ids is not None else 0
-        for j, z in enumerate(sample.z):
-            lf, lfp = sample.logf[i, j], sample.logfp[i, j]
-            writer.writerow([sid] + [repr(float(v)) for v in
-                                     (z.real, z.imag, lf.real, lf.imag, lfp.real, lfp.imag)])

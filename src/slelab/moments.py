@@ -16,7 +16,6 @@ import numpy as np
 from .flow import DomainError, SimConfig, WholePlaneSample, sample_ensemble
 
 __all__ = [
-    "MomentSpec",
     "MomentEstimate",
     "LogCoeffStats",
     "parabola_point",
@@ -36,29 +35,6 @@ __all__ = [
     "mfold_identity_check",
     "integral_means_scan",
 ]
-
-
-@dataclass(frozen=True)
-class MomentSpec:
-    """Exponent pair with the derived sigma = q/p - 1 and, when the pair
-    lies on the integrability parabola, its parameter gamma."""
-
-    p: float
-    q: float
-    gamma: float | None = None
-
-    @property
-    def sigma(self):
-        if self.p == 0:
-            raise DomainError("sigma undefined for p = 0")
-        return self.q / self.p - 1.0
-
-    def check(self, kappa, tol=1e-12):
-        if self.gamma is not None:
-            p, q = parabola_point(kappa, self.gamma)
-            if abs(p - self.p) > tol or abs(q - self.q) > tol:
-                raise DomainError("gamma inconsistent with (p, q) on the parabola")
-        return self
 
 
 @dataclass(frozen=True)
@@ -342,7 +318,9 @@ def integral_means_scan(integrand, p, q, kappa, r_grid, angular_M=512) -> MeansS
     if np.any(np.diff(r_grid) <= 0) or np.any(r_grid <= 0) or np.any(r_grid >= 1):
         raise DomainError("r_grid must be increasing and inside (0, 1)")
 
-    if isinstance(integrand, str) and integrand == "closed":
+    if isinstance(integrand, str):
+        if integrand != "closed":
+            raise DomainError(f"unknown integrand {integrand!r}; the only named one is 'closed'")
         gamma = parabola_gamma_from_pq(kappa, p, q)
         if 2 * gamma <= -1:
             return MeansScan(r_grid=r_grid, integrals=np.full_like(r_grid, np.nan),

@@ -1,12 +1,14 @@
 """Tests for the batch command-line front-end."""
 
 import argparse
+import csv
+import io
 import json
 
 import numpy as np
 import pytest
 
-from slelab import cli, residuals
+from slelab import cli, flow, residuals
 
 
 def run(argv):
@@ -104,6 +106,18 @@ class TestConfigFile:
         bad.write_text("not json")
         assert run(["spectrum", "--p", "0", "--q", "0", "--config", str(bad)]) == 1
 
+    @pytest.mark.parametrize("command,key", [("spectrum", "workers"), ("universal", "kappa"),
+                                             ("check", "format"), ("means-scan", "integrand"),
+                                             ("xy-geometry", "no-such-flag")])
+    def test_key_of_no_flag_is_1(self, tmp_path, capsys, command, key):
+        cfg = tmp_path / "f.json"
+        cfg.write_text(json.dumps({key: 4}))
+        out = tmp_path / "out"
+        assert run([command, "--config", str(cfg), "--output", str(out)]) == 1
+        assert capsys.readouterr().err.startswith(
+            f"error: config key {key!r} names no flag of {command}")
+        assert not out.exists()
+
 
 class TestExitCodes:
     def test_validation_error_is_1(self):
@@ -159,6 +173,87 @@ class TestExitCodes:
             (suite in ("residuals", "all"))
 
 
+# flags that some subcommands do not take, each with a valid rest of the line
+_NOT_TAKEN = [
+    ["universal", "--kappa", "50"],
+    ["spectrum", "--seed", "9", "--p", "0", "--q", "0"],
+    ["phase-diagram", "--workers", "4"],
+    ["check", "--workers", "2"],
+    ["check", "--format", "csv"],
+    ["simulate", "--format", "json", "--z", "0.5"],
+    ["means-scan", "--integrand", "mc"],
+    *([command, flag, "1"] for command in ("spectrum", "phase-diagram", "xy-geometry",
+                                          "universal", "means-scan")
+      for flag in ("--seed", "--workers")),
+    ["spectrum", "--bogus"],
+]
+
+
+class TestUsageErrors:
+    @pytest.mark.parametrize("argv", _NOT_TAKEN, ids=" ".join)
+    def test_flag_not_taken_is_1(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run(argv)
+        assert exc.value.code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage: slelab ")
+        assert f"error: unrecognized arguments: {argv[1]}" in err
+
+    @pytest.mark.parametrize("argv", [[], ["nope"], ["check", "--suite", "nope"],
+                                      ["spectrum", "--p", "x"], ["moments", "--z"]])
+    def test_other_usage_errors_are_1(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run(argv)
+        assert exc.value.code == 1
+        assert capsys.readouterr().err.startswith("usage: slelab")
+
+    @pytest.mark.parametrize("argv", [["--help"], ["check", "--help"]])
+    def test_help_is_0(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run(argv)
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: slelab")
+
+
+# a small run of every subcommand
+_SMALL = {
+    "simulate": ["--z", "0.3", "--n-samples", "2", "--dt", "0.1", "--T", "0.3"],
+    "moments": ["--z", "0.3", "--n-samples", "2", "--dt", "0.1", "--T", "0.3"],
+    "two-point": ["--n-samples", "2", "--dt", "0.1", "--T", "0.3"],
+    "log-coeffs": ["--fft-size", "8", "--n-max", "2", "--n-samples", "2", "--dt", "0.1",
+                   "--T", "0.3"],
+    "means-scan": ["--kappa", "6", "--p", "1.75", "--q", "1.5", "--n-r", "4"],
+    "spectrum": ["--p", "0", "--q", "0"],
+    "phase-diagram": ["--resolution", "4", "--curve-points", "4"],
+    "xy-geometry": ["--resolution", "4"],
+    "universal": ["--resolution", "4"],
+    "check": ["--suite", "algebra"],
+    "diagnose": ["--n-samples", "2", "--dt", "0.1", "--T-list", "0.2", "--T-list", "0.3"],
+}
+
+
+@pytest.mark.parametrize("command", list(cli._COMMANDS))
+def test_every_declared_flag_is_read(command, tmp_path, monkeypatch):
+    """Each flag of a subcommand's table entry is read by its handler (or,
+    for --config, by main); --no-header is taken and ignored where no
+    timestamp is written."""
+    reads = set()
+
+    class Recording(argparse.Namespace):
+        def __getattribute__(self, name):
+            reads.add(name)
+            return super().__getattribute__(name)
+
+    name = cli._COMMANDS[command][1]
+    handler, merge = getattr(cli, name), cli._merge_config
+    monkeypatch.setattr(cli, name, lambda args: handler(Recording(**vars(args))))
+    monkeypatch.setattr(cli, "_merge_config", lambda args: merge(Recording(**vars(args))))
+    monkeypatch.delenv("SLE_LAB_THREADS", raising=False)
+    assert run([command, *_SMALL[command], "--output", str(tmp_path / "out")]) == 0
+    declared = {f.replace("-", "_") for f in cli._flag_names(command)}
+    assert declared - reads == ({"no_header"} if command in ("simulate", "check") else set())
+
+
 class TestOtherCommands:
     def test_simulate_dump(self, tmp_path):
         out = tmp_path / "sim.csv"
@@ -169,6 +264,42 @@ class TestOtherCommands:
         lines = out.read_text().strip().splitlines()
         assert lines[0].startswith("stream_id")
         assert len(lines) == 1 + 4 * 2
+
+    def test_csv_dump(self, tmp_path):
+        out = tmp_path / "sim.csv"
+        assert run(["simulate", "--kappa", "2", "--T", "1.0", "--dt", "0.02", "--seed", "11",
+                    "--z", "0.2", "--z", "0.3", "--n-samples", "3", "--output", str(out)]) == 0
+        lines = out.read_text().strip().splitlines()
+        assert lines[0].split(",")[0] == "stream_id"
+        assert len(lines) == 1 + 3 * 2
+        row = lines[1].split(",")
+        assert float(row[1]) == 0.2
+
+    def test_simulate_text_is_csv_writer_text(self, tmp_path, capsys):
+        """simulate writes what csv.writer writes for the rows (stream_id, z,
+        log f, log f'), \\r\\n line ends included, to the file or stdout."""
+        argv = ["simulate", "--kappa", "3", "--T", "0.3", "--dt", "0.1", "--seed", "4",
+                "--z", "0.3", "--z", "0", "--z=-0.1-0.0j", "--n-samples", "1003"]
+        pts = [0.3, 0, complex(-0.1, -0.0)]
+        cfg = flow.SimConfig(kappa=3.0, horizon_T=0.3, dt=0.1, seed=4)
+        sample = flow.sample_ensemble(cfg, pts, 1003)
+        buf = io.StringIO(newline="")
+        writer = csv.writer(buf)
+        writer.writerow(["stream_id", "z_re", "z_im", "logf_re", "logf_im", "logfp_re",
+                         "logfp_im"])
+        for i in range(sample.n_samples):
+            for j, z in enumerate(sample.z):
+                lf, lfp = sample.logf[i, j], sample.logfp[i, j]
+                writer.writerow([int(sample.stream_ids[i])] + [
+                    repr(float(v)) for v in (z.real, z.imag, lf.real, lf.imag, lfp.real, lfp.imag)])
+        expected = buf.getvalue().encode()
+        assert b"\r\n" in expected and b"-inf" in expected and b"-0.0" in expected
+        out = tmp_path / "sim.csv"
+        assert run([*argv, "--output", str(out)]) == 0
+        assert out.read_bytes() == expected
+        capsys.readouterr()
+        assert run(argv) == 0
+        assert capsys.readouterr().out.encode() == expected
 
     def test_log_coeffs(self, tmp_path):
         out = tmp_path / "lc.csv"

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from slelab import flow, moments
 from slelab.flow import DomainError, SimConfig, constant_driver, sample_ensemble, whole_plane_sample
 from slelab.moments import (
-    MomentSpec,
     circle_points,
     closed_moduli,
     closed_one_point,
@@ -81,13 +80,6 @@ class TestParabola:
     def test_unknown_branch_rejected(self, branch):
         with pytest.raises(DomainError, match=r"'\+' or '-'"):
             parabola_gamma(6.0, 1.0, branch=branch)
-
-    def test_spec_consistency_check(self):
-        MomentSpec(2.0, 2.0, gamma=1.0).check(2.0)
-        with pytest.raises(DomainError):
-            MomentSpec(2.0, 1.9, gamma=1.0).check(2.0)
-        with pytest.raises(DomainError):
-            MomentSpec(0.0, 1.0).sigma
 
 
 class TestClosedForms:
@@ -290,3 +282,8 @@ class TestMeansScan:
                                    0.0, 0.0, 2.0, r_grid)
         # constant integrand: integrals tend to 2 pi, slope ~ 0
         assert abs(scan.beta) < 0.02
+
+    @pytest.mark.parametrize("name", ["mc", "", "Closed"])
+    def test_unknown_named_integrand_rejected(self, name):
+        with pytest.raises(DomainError, match="unknown integrand"):
+            integral_means_scan(name, 1.75, 1.5, 6.0, [0.5, 0.9])
