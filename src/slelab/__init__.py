@@ -38,7 +38,6 @@ from .moments import (
     log_coeff_sq_expectation,
     mfold_identity_check,
     milin_expectation,
-    parabola_cartesian_residual,
     parabola_gamma,
     parabola_gamma_from_pq,
     parabola_point,
@@ -50,7 +49,6 @@ from .spectrum import (
     beta_0,
     beta_1,
     beta_lin,
-    beta_m,
     beta_tip,
     cartesian_residual,
     classify,

@@ -175,12 +175,6 @@ def _parse_complex(s):
 
 
 def _workers(args):
-    env = os.environ.get("SLE_LAB_THREADS")
-    if env is not None:
-        try:
-            return max(1, int(env))
-        except ValueError as exc:
-            raise ConfigError(f"SLE_LAB_THREADS={env!r} is not an integer") from exc
     return max(1, args.workers)
 
 
@@ -380,6 +374,8 @@ def _cmd_check(args):
 
 
 def _cmd_diagnose(args):
+    if len(args.z) > 1:
+        raise ConfigError(f"diagnose takes one --z point, got {len(args.z)}")
     cfg = _sim_config(args)
     z = _parse_complex(args.z[0]) if args.z else 0.5 + 0j
     T_list = sorted(args.T_list) if args.T_list else [2.0, 4.0, 6.0, 8.0]

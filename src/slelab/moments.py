@@ -14,6 +14,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .flow import DomainError, SimConfig, WholePlaneSample, sample_ensemble
+from .spectrum import cartesian_residual, parabola_point
 
 __all__ = [
     "MomentEstimate",
@@ -48,18 +49,6 @@ class MomentEstimate:
     median_of_means: float | None = None
 
 
-def parabola_point(kappa, gamma):
-    """Parametric point of the integrability parabola."""
-    p = -(kappa / 2) * gamma**2 + (2 + kappa / 2) * gamma
-    q = 2 * p - (1 + kappa / 2) * gamma
-    return p, q
-
-
-def parabola_cartesian_residual(kappa, p, q):
-    u = (2 * p - q) / (2 + kappa)
-    return 2 * kappa * u**2 - (4 + kappa) * u + p
-
-
 def parabola_gamma(kappa, p, branch="-"):
     """Invert the parabola's p(gamma); two branches meet at the vertex."""
     if branch not in ("+", "-"):
@@ -75,7 +64,7 @@ def parabola_gamma(kappa, p, branch="-"):
 def parabola_gamma_from_pq(kappa, p, q):
     """gamma of an on-parabola pair, from the linear relation 2p - q."""
     gamma = (2 * p - q) / (1 + kappa / 2)
-    if abs(parabola_cartesian_residual(kappa, p, q)) > 1e-9:
+    if abs(cartesian_residual("redParabola", kappa, p, q)) > 1e-9:
         raise DomainError(f"(p, q)=({p}, {q}) does not lie on the parabola")
     return gamma
 
@@ -109,20 +98,31 @@ def _log_ratio(sample, j, z):
     return sample.logf[:, j] - np.log(complex(z))
 
 
-def _weights_one_point(sample, p, q, z):
+def _log_weight_one_point(sample, p, q, z):
+    """log of the one-point weight f'^{p/2} / (f/z)^{q/2} per sample."""
     j = sample.point_index(z)
-    return np.exp((p / 2) * sample.logfp[:, j] - (q / 2) * _log_ratio(sample, j, z))
+    return (p / 2) * sample.logfp[:, j] - (q / 2) * _log_ratio(sample, j, z)
+
+
+def _weights_one_point(sample, p, q, z):
+    return np.exp(_log_weight_one_point(sample, p, q, z))
+
+
+def _mean_and_stderr(x):
+    """Mean of x over axis 0 and its standard error (ddof 0), zero when N <= 1."""
+    n = len(x)
+    stderr = np.std(x, axis=0) / np.sqrt(n) if n > 1 else np.zeros(np.shape(x)[1:])
+    return np.mean(x, axis=0), stderr
 
 
 def _estimate(x, p, q, z, median_blocks=0):
     n = len(x)
-    value = complex(np.mean(x))
-    stderr = float(np.std(x) / np.sqrt(n)) if n > 1 else 0.0
+    value, stderr = _mean_and_stderr(x)
     mom = None
     if median_blocks and n >= median_blocks:
         blocks = np.array_split(np.real(x), median_blocks)
         mom = float(np.median([np.mean(b) for b in blocks]))
-    return MomentEstimate(value=value, stderr=stderr, n_samples=n, p=p, q=q,
+    return MomentEstimate(value=complex(value), stderr=float(stderr), n_samples=n, p=p, q=q,
                           z=complex(z), median_of_means=mom)
 
 
@@ -138,8 +138,7 @@ def estimate_moduli(sample: WholePlaneSample, p, q, z) -> MomentEstimate:
     Reports a 16-block median-of-means alongside the plain mean; moduli
     weights can be heavy tailed for large |q|.
     """
-    j = sample.point_index(z)
-    x = np.exp(p * sample.logfp[:, j].real - q * _log_ratio(sample, j, z).real)
+    x = np.exp(2 * _log_weight_one_point(sample, p, q, z).real)
     return _estimate(x, p, q, z, median_blocks=16)
 
 
@@ -215,23 +214,14 @@ def extract_log_coeffs(sample: WholePlaneSample, n_max: int, M: int | None = Non
     coeffs = np.fft.fft(vals, axis=1) / M               # (n_samples, M)
     n = np.arange(1, n_max + 2)
     gam = coeffs[:, 1 : n_max + 2] * r ** (-n.astype(float))
-    N = sample.n_samples
-    sqrtN = np.sqrt(max(N, 1))
-
-    def mean_and_err(x):
-        mu = x.mean(axis=0)
-        err = np.sqrt((np.abs(x - mu) ** 2).mean(axis=0)) / sqrtN if N > 1 \
-            else np.zeros(x.shape[1])
-        return mu, err
-
-    mean_gamma, stderr_gamma = mean_and_err(gam[:, :n_max])
-    mean_sq, stderr_sq = mean_and_err(np.abs(gam[:, :n_max]) ** 2)
-    cross, stderr_cross = mean_and_err(gam[:, : n_max - 1] * np.conj(gam[:, 1:n_max]))
+    mean_gamma, stderr_gamma = _mean_and_stderr(gam[:, :n_max])
+    mean_sq, stderr_sq = _mean_and_stderr(np.abs(gam[:, :n_max]) ** 2)
+    cross, stderr_cross = _mean_and_stderr(gam[:, : n_max - 1] * np.conj(gam[:, 1:n_max]))
     noise = np.finfo(float).eps * r ** (-2.0 * np.arange(1, n_max + 1))
     return LogCoeffStats(
         n_max=n_max, mean_gamma=mean_gamma, mean_sq=mean_sq, cross=cross,
         stderr_gamma=stderr_gamma, stderr_sq=stderr_sq.real, stderr_cross=stderr_cross,
-        radius=r, fft_size=M, n_samples=N, noise_floor=noise,
+        radius=r, fft_size=M, n_samples=sample.n_samples, noise_floor=noise,
     )
 
 

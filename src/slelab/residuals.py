@@ -15,8 +15,9 @@ from __future__ import annotations
 import numpy as np
 
 from .flow import DomainError
-from .moments import closed_moduli, closed_one_point, closed_two_point, parabola_point
+from .moments import closed_moduli, closed_one_point, closed_two_point
 from . import spectrum as _spec
+from .spectrum import parabola_point
 
 __all__ = [
     "abc_check",
@@ -32,11 +33,23 @@ __all__ = [
 DEFAULT_H = 1e-4
 
 
-def _order(r_coarse, r_fine):
-    """Observed convergence order from residuals at steps 2H and H."""
+def _order_estimate(residual_at, h):
+    """Observed convergence order from the residuals at steps 2H and H.
+
+    H = max(h, 2e-3), a step large enough that truncation error dominates
+    roundoff.  ``residual_at(step)`` returns the absolute residual.
+    """
+    H = max(h, 2e-3)
+    r_fine = residual_at(H)
     if r_fine == 0:
         return np.inf
-    return float(np.log2(r_coarse / r_fine))
+    return float(np.log2(residual_at(2 * H) / r_fine))
+
+
+def _report(check, inputs, residual, passed, order_estimate=None):
+    """A check's report dict; every check writes these keys in this order."""
+    return {"check": check, "inputs": inputs, "residual": residual,
+            "order_estimate": order_estimate, "pass": bool(passed)}
 
 
 def _coeff_A(kappa, p, q, alpha):
@@ -115,34 +128,14 @@ def ode_residual(kappa, gamma, z, h=DEFAULT_H):
         )
     res, scale = _apply_P(G, z, kappa, p, q, h)
     r1 = abs(res)
-    # order is measured at a larger step where truncation dominates roundoff
-    H = max(h, 2e-3)
-    order = _order(abs(_apply_P(G, z, kappa, p, q, 2 * H)[0]),
-                   abs(_apply_P(G, z, kappa, p, q, H)[0]))
-    return {"check": "one_point_ode", "inputs": {"kappa": kappa, "gamma": gamma,
-            "z": [z.real, z.imag], "h": h, "scale": scale},
-            "residual": r1, "order_estimate": float(order),
-            "pass": bool(r1 / scale < 1e-6)}
+    order = _order_estimate(lambda hh: abs(_apply_P(G, z, kappa, p, q, hh)[0]), h)
+    return _report("one_point_ode", {"kappa": kappa, "gamma": gamma, "z": [z.real, z.imag],
+                                     "h": h, "scale": scale},
+                   r1, r1 / scale < 1e-6, order)
 
 
 # ---------------------------------------------------------------------------
 # PDE residual for the two-point moment
-
-
-def _apply_P_var(G, z1, z2b, kappa, p, q, h, which):
-    # apply the one-variable operator in z1 (which=1) or conjugate z2 (which=2),
-    # holding the other argument fixed; the zero-order terms are split so the
-    # two applications together contribute 2p - 2q
-    if which == 1:
-        g = lambda u: G(z1 * np.exp(u), z2b)
-        w = z1
-    else:
-        g = lambda u: G(z1, z2b * np.exp(u))
-        w = z2b
-    d1 = (g(h) - g(-h)) / (2 * h)
-    d2 = (g(h) - 2 * g(0.0) + g(-h)) / h**2
-    return (-(kappa / 2) * d2 - (1 + w) / (1 - w) * d1
-            - p / (1 - w) ** 2 * g(0.0) + q / (1 - w) * g(0.0) + (p - q) * g(0.0))
 
 
 def _cross_term(G, z1, z2b, kappa, h):
@@ -162,19 +155,19 @@ def pde_residual(kappa, gamma, z1, z2, h=DEFAULT_H):
     G = lambda a, b: closed_two_point(a, b, kappa, gamma)
 
     def at(hh):
-        t1 = _apply_P_var(G, z1, z2b, kappa, p, q, hh, 1)
-        t2 = _apply_P_var(G, z1, z2b, kappa, p, q, hh, 2)
+        # the one-variable operator in z1 and in conj(z2), each holding the
+        # other fixed; together their zero-order terms contribute 2p - 2q
+        t1 = _apply_P(lambda w: G(w, z2b), z1, kappa, p, q, hh)[0]
+        t2 = _apply_P(lambda w: G(z1, w), z2b, kappa, p, q, hh)[0]
         tc = _cross_term(G, z1, z2b, kappa, hh)
         return abs(t1 + t2 + tc), max(abs(t1) + abs(t2) + abs(tc), 1.0)
 
     r1, scale = at(h)
-    H = max(h, 2e-3)
-    order = _order(at(2 * H)[0], at(H)[0])
-    return {"check": "two_point_pde", "inputs": {"kappa": kappa, "gamma": gamma,
-            "z1": [z1.real, z1.imag], "z2": [complex(z2).real, complex(z2).imag],
-            "h": h, "scale": scale},
-            "residual": r1, "order_estimate": float(order),
-            "pass": bool(r1 / scale < 1e-6)}
+    order = _order_estimate(lambda hh: at(hh)[0], h)
+    return _report("two_point_pde", {"kappa": kappa, "gamma": gamma, "z1": [z1.real, z1.imag],
+                                     "z2": [complex(z2).real, complex(z2).imag],
+                                     "h": h, "scale": scale},
+                   r1, r1 / scale < 1e-6, order)
 
 
 # ---------------------------------------------------------------------------
@@ -225,13 +218,10 @@ def moduli_residual(kappa, gamma, z, h=DEFAULT_H):
     F = lambda x, y: closed_moduli(x + 1j * y, kappa, gamma)
     res, scale = _moduli_operator(F, z, kappa, p, q, h)
     r1 = abs(res)
-    H = max(h, 2e-3)
-    order = _order(abs(_moduli_operator(F, z, kappa, p, q, 2 * H)[0]),
-                   abs(_moduli_operator(F, z, kappa, p, q, H)[0]))
-    return {"check": "moduli_pde", "inputs": {"kappa": kappa, "gamma": gamma,
-            "z": [z.real, z.imag], "h": h, "scale": scale},
-            "residual": r1, "order_estimate": float(order),
-            "pass": bool(r1 / scale < 1e-6)}
+    order = _order_estimate(lambda hh: abs(_moduli_operator(F, z, kappa, p, q, hh)[0]), h)
+    return _report("moduli_pde", {"kappa": kappa, "gamma": gamma, "z": [z.real, z.imag],
+                                  "h": h, "scale": scale},
+                   r1, r1 / scale < 1e-6, order)
 
 
 def moduli_residual_gform(kappa, gamma, z, h=DEFAULT_H):
@@ -250,10 +240,9 @@ def moduli_residual_gform(kappa, gamma, z, h=DEFAULT_H):
     res_h, scale = _moduli_operator(G, z, kappa, p, q, h, reduced_potential=True)
     res_2h, _ = _moduli_operator(G, z, kappa, p, q, 2 * h, reduced_potential=True)
     r1 = abs((4 * res_h - res_2h) / 3)
-    return {"check": "moduli_pde_gform", "inputs": {"kappa": kappa, "gamma": gamma,
-            "z": [z.real, z.imag], "h": h, "scale": scale},
-            "residual": r1, "order_estimate": None,
-            "pass": bool(r1 / scale < 1e-6)}
+    return _report("moduli_pde_gform", {"kappa": kappa, "gamma": gamma, "z": [z.real, z.imag],
+                                        "h": h, "scale": scale},
+                   r1, r1 / scale < 1e-6)
 
 
 # ---------------------------------------------------------------------------
@@ -344,9 +333,7 @@ def seed_systems(kappa, n_params=7):
         pe, qe = _spec.curve_eval("redParabola", kappa, g)
         worst = max(worst, abs(p - pe), abs(q - qe),
                     abs(_coeff_A(kappa, p, q, g)), abs(_coeff_C(kappa, p, g)))
-    checks.append({"check": "seed_red", "inputs": {"kappa": kappa},
-                   "residual": worst, "order_estimate": None,
-                   "pass": bool(worst < 1e-10)})
+    checks.append(_report("seed_red", {"kappa": kappa}, worst, worst < 1e-10))
 
     # green: C = 0 at the dual exponent g'' = 2/kappa + 1/2 - g'
     worst = 0.0
@@ -357,9 +344,7 @@ def seed_systems(kappa, n_params=7):
         pe, qe = _spec.curve_eval("greenParabola", kappa, gp)
         worst = max(worst, abs(p - pe), abs(q - qe),
                     abs(_coeff_A(kappa, p, q, gp)), abs(_coeff_C(kappa, p, gpp)))
-    checks.append({"check": "seed_green", "inputs": {"kappa": kappa},
-                   "residual": worst, "order_estimate": None,
-                   "pass": bool(worst < 1e-10)})
+    checks.append(_report("seed_green", {"kappa": kappa}, worst, worst < 1e-10))
 
     # quartic: companion exponent from the compatibility relation, solved
     # numerically and compared with the closed form of _quartic_gamma0
@@ -374,9 +359,8 @@ def seed_systems(kappa, n_params=7):
         pe, qe = _spec.curve_eval("blueQuartic", kappa, g)
         worst = max(worst, abs(g0 - g0_exact), abs(p - pe), abs(q - qe),
                     abs(_coeff_A(kappa, p, q, g)), abs(_coeff_C(kappa, p, g0)))
-    checks.append({"check": "seed_quartic", "inputs": {"kappa": kappa},
-                   "residual": worst, "order_estimate": None,
-                   "pass": bool(worst < 1e-8 and disc_min > 0)})
+    checks.append(_report("seed_quartic", {"kappa": kappa}, worst,
+                          worst < 1e-8 and disc_min > 0))
 
     # intersections: red/green tangency points and the quartic corner
     p0, q0 = sp.P0
@@ -397,9 +381,7 @@ def seed_systems(kappa, n_params=7):
     res_P1 = abs(_spec.curve_eval("redParabola", kappa, g_p1)[0] - sp.P1[0])
 
     worst = max(res_P0, res_Q0, res_Q1, res_P1)
-    checks.append({"check": "seed_intersections", "inputs": {"kappa": kappa},
-                   "residual": worst, "order_estimate": None,
-                   "pass": bool(worst < 1e-9)})
+    checks.append(_report("seed_intersections", {"kappa": kappa}, worst, worst < 1e-9))
     return checks
 
 
@@ -425,13 +407,10 @@ def run_all_checks(kappa, gamma=None, z=0.3 + 0.2j, h=DEFAULT_H, suite="all", se
         for _ in range(200):
             kk, pp, qq, aa = rng.uniform(0.5, 20), *rng.uniform(-5, 5, 3)
             worst = max(worst, abs(abc_check(kk, pp, qq, aa)["sum"]))
-        reports.append({"check": "abc_sum_random", "inputs": {"n": 200},
-                        "residual": worst, "order_estimate": None,
-                        "pass": bool(worst < 1e-12)})
+        reports.append(_report("abc_sum_random", {"n": 200}, worst, worst < 1e-12))
         dual = duality_check(kappa, parabola_point(kappa, gamma)[0], gamma)
-        reports.append({"check": "beta_duality", "inputs": {"kappa": kappa, "gamma": gamma},
-                        "residual": dual["residual"], "order_estimate": None,
-                        "pass": bool(dual["residual"] < 1e-12)})
+        reports.append(_report("beta_duality", {"kappa": kappa, "gamma": gamma},
+                               dual["residual"], dual["residual"] < 1e-12))
     if suite in ("residuals", "all"):
         reports.append(ode_residual(kappa, gamma, z, h))
         reports.append(pde_residual(kappa, gamma, z, 0.25 - 0.15j, h))

@@ -23,6 +23,7 @@ __all__ = [
     "beta_0",
     "beta_lin",
     "beta_1",
+    "parabola_point",
     "special_points",
     "curve_eval",
     "cartesian_residual",
@@ -31,7 +32,6 @@ __all__ = [
     "mfold_map",
     "mfold_map_inv",
     "classify_mfold",
-    "beta_m",
     "xy_forward",
     "xy_inverse",
     "xy_spectra",
@@ -106,7 +106,8 @@ class SpecialPoints:
     p0dblprime: float
 
 
-def _red(kappa, g):
+def parabola_point(kappa, g):
+    """Point of the integrability parabola (the red separatrix) at exponent g."""
     p = (2 + kappa / 2) * g - (kappa / 2) * g**2
     q = (3 + kappa / 2) * g - kappa * g**2
     return p, q
@@ -154,8 +155,8 @@ def special_points(kappa) -> SpecialPoints:
         P1=(p1, q0),
         Q0=(p0p, -2 - 7 * kappa / 8),
         Q1=(p0p, -(3 + kappa) / 2),
-        T0=_red(kappa, 2 / kappa + 0.5),
-        T1=_red(kappa, 1 / kappa),
+        T0=parabola_point(kappa, 2 / kappa + 0.5),
+        T1=parabola_point(kappa, 1 / kappa),
         T2=_green(kappa, 1 / kappa),
         p_star=p_star,
         p0=p0,
@@ -167,7 +168,7 @@ def special_points(kappa) -> SpecialPoints:
 def curve_eval(curve_id, kappa, param):
     """Point of a separatrix curve at the given parameter value."""
     if curve_id == "redParabola":
-        return _red(kappa, param)
+        return parabola_point(kappa, param)
     if curve_id == "greenParabola":
         return _green(kappa, param)
     if curve_id == "blueQuartic":
@@ -350,14 +351,6 @@ def mfold_map_inv(m):
     return Tinv
 
 
-def beta_m(p, q, kappa, m):
-    """Region-IV spectrum of the m-fold transform."""
-    d = 1 + (2 * kappa / m) * (p - q)
-    if np.any(d < 0):
-        raise DomainError("m-fold mixed spectrum undefined here")
-    return (1 + 2 / m) * p - (2 / m) * q - 0.5 - 0.5 * np.sqrt(d)
-
-
 def classify_mfold(p, q, kappa, m) -> SpectrumPoint:
     """Phase diagram of the m-fold transform: classify at (p, q_m).
 
@@ -420,40 +413,31 @@ def quartic_asymptotes(kappa):
 # universal spectrum
 
 
-def _b0_kraetzer(p):
+def _b0(p):
+    """Kraetzer's conjectured bulk spectrum p^2/4 of bounded univalent maps."""
     return p * p / 4.0
 
 
-def _resolve_b0(b0_model):
-    if b0_model == "kraetzer":
-        return _b0_kraetzer
-    if callable(b0_model):
-        return b0_model
-    raise DomainError(f"unknown B0 model {b0_model!r}")
-
-
-def universal_bounded(p, b0_model="kraetzer", p_dagger=-2.0):
-    """Universal spectrum B(p) of bounded univalent maps (B0 pluggable)."""
-    b0 = _resolve_b0(b0_model)
+def universal_bounded(p, p_dagger=-2.0):
+    """Universal spectrum B(p) of bounded univalent maps."""
     if p <= p_dagger:
         return -p - 1.0
     if p >= 2:
         return p - 1.0
-    return float(b0(p))
+    return float(_b0(p))
 
 
-def universal_B(p, q, b0_model="kraetzer", p_dagger=-2.0):
+def universal_B(p, q, p_dagger=-2.0):
     """Conjectured universal generalized spectrum max{B(p), 3p - 2q - 1}."""
-    return max(universal_bounded(p, b0_model, p_dagger), 3 * p - 2 * q - 1)
+    return max(universal_bounded(p, p_dagger), 3 * p - 2 * q - 1)
 
 
-def universal_partition(b0_model="kraetzer", p_dagger=-2.0):
+def universal_partition(p_dagger=-2.0):
     """Separatrix curves of the universal phase diagram."""
-    b0 = _resolve_b0(b0_model)
     return {
         "tip": {"p_range": (-np.inf, p_dagger), "q_of_p": lambda p: 2 * p},
         "bulk": {"p_range": (p_dagger, 2.0),
-                 "q_of_p": lambda p: (3 * p - 1 - b0(p)) / 2},
+                 "q_of_p": lambda p: (3 * p - 1 - _b0(p)) / 2},
         "lin": {"p_range": (2.0, np.inf), "q_of_p": lambda p: p},
     }
 

@@ -75,13 +75,12 @@ class TestDeterminism:
         run(args + ["--output", str(b)])
         assert a.read_bytes() == b.read_bytes()
 
-    def test_worker_count_invariance(self, tmp_path, monkeypatch):
+    def test_worker_count_invariance(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         args = ["moments", "--kappa", "2", "--p", "2", "--q", "2", "--z", "0.4",
                 "--n-samples", "25", "--dt", "0.02", "--T", "1.0", "--no-header"]
         run(args + ["--workers", "1", "--output", str(a)])
-        monkeypatch.setenv("SLE_LAB_THREADS", "4")
-        run(args + ["--output", str(b)])
+        run(args + ["--workers", "4", "--output", str(b)])
         assert a.read_bytes() == b.read_bytes()
 
 
@@ -127,6 +126,14 @@ class TestExitCodes:
 
     def test_unparseable_z_is_1(self):
         assert run(["moments", "--z", "fish", "--n-samples", "2"]) == 1
+
+    def test_diagnose_second_point_is_1(self, tmp_path, capsys):
+        out = tmp_path / "d.csv"
+        assert run(["diagnose", "--kappa", "2", "--z", "0.3", "--z", "0.4", "--n-samples", "10",
+                    "--dt", "0.05", "--T-list", "0.5", "--no-header",
+                    "--output", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("error: diagnose takes one --z point")
+        assert not out.exists()
 
     @pytest.mark.parametrize("argv", [
         ["check", "--kappa", "0"],
@@ -248,7 +255,6 @@ def test_every_declared_flag_is_read(command, tmp_path, monkeypatch):
     handler, merge = getattr(cli, name), cli._merge_config
     monkeypatch.setattr(cli, name, lambda args: handler(Recording(**vars(args))))
     monkeypatch.setattr(cli, "_merge_config", lambda args: merge(Recording(**vars(args))))
-    monkeypatch.delenv("SLE_LAB_THREADS", raising=False)
     assert run([command, *_SMALL[command], "--output", str(tmp_path / "out")]) == 0
     declared = {f.replace("-", "_") for f in cli._flag_names(command)}
     assert declared - reads == ({"no_header"} if command in ("simulate", "check") else set())

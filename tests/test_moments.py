@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from slelab import flow, moments
+from slelab import flow, moments, spectrum
 from slelab.flow import DomainError, SimConfig, constant_driver, sample_ensemble, whole_plane_sample
 from slelab.moments import (
     circle_points,
@@ -21,7 +21,6 @@ from slelab.moments import (
     log_coeff_sq_expectation,
     mfold_identity_check,
     milin_expectation,
-    parabola_cartesian_residual,
     parabola_gamma,
     parabola_gamma_from_pq,
     parabola_point,
@@ -55,7 +54,8 @@ class TestParabola:
     @settings(max_examples=200, deadline=None)
     def test_cartesian_residual_vanishes_on_curve(self, kappa, gamma):
         p, q = parabola_point(kappa, gamma)
-        assert abs(parabola_cartesian_residual(kappa, p, q)) < 1e-8 * max(1, abs(p), abs(q))
+        residual = spectrum.cartesian_residual("redParabola", kappa, p, q)
+        assert abs(residual) < 1e-8 * max(1, abs(p), abs(q))
 
     @given(kappas, gammas)
     @settings(max_examples=200, deadline=None)

@@ -173,12 +173,12 @@ class TestSeedSystems:
 
 class TestReportFormat:
     def test_run_all_checks_schema(self):
-        reports = rs.run_all_checks(6.0)
-        assert all(
-            {"check", "inputs", "residual", "order_estimate", "pass"} <= set(r)
-            for r in reports
-        )
-        assert all(r["pass"] for r in reports)
+        for suite in rs.SUITES:
+            reports = rs.run_all_checks(6.0, suite=suite)
+            assert reports
+            for r in reports:
+                assert list(r) == ["check", "inputs", "residual", "order_estimate", "pass"], r
+            assert all(r["pass"] for r in reports)
 
     def test_run_all_checks_suites(self):
         names = {suite: [r["check"] for r in rs.run_all_checks(6.0, suite=suite, seed=1)]

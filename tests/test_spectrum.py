@@ -262,6 +262,25 @@ class TestMfoldDiagram:
         b = sp.classify_mfold(0.3, -0.2, 6.0, 1)
         assert (a.region, a.beta) == (b.region, b.beta)
 
+    @pytest.mark.parametrize("kappa", [0.5, 6.0])
+    @pytest.mark.parametrize("m", [2, 3, -2])
+    def test_region_iv_spectrum_oracle(self, kappa, m):
+        # region IV of the m-fold diagram: beta_1 at (p, q_m), written out in (p, q)
+        def oracle(p, q):
+            return ((1 + 2 / m) * p - (2 / m) * q - 0.5
+                    - 0.5 * np.sqrt(1 + 2 * kappa * (p - q) / m))
+
+        p = np.linspace(-3.0, 3.0, 13)
+        qm = sp.lower_boundary_q(p, kappa) - np.linspace(0.1, 2.0, 13)
+        q = sp.mfold_map_inv(m)(p, qm)[1]
+        res = sp.classify_mfold(p, q, kappa, m)
+        assert (res.region == "IV").all()
+        assert np.max(np.abs(res.beta - oracle(p, q))) < 1e-12
+        for a, b in zip(p, q):
+            one = sp.classify_mfold(float(a), float(b), kappa, m)
+            assert one.region == "IV"
+            assert abs(one.beta - oracle(float(a), float(b))) < 1e-12
+
     def test_region_sequence_kappa30_m10(self):
         # along q = 0, increasing p: I, II, III, IV
         seen = []
@@ -328,7 +347,6 @@ class TestXYGeometry:
         p, q = np.array([0.0, 1.0, -2.0]), np.array([0.0, -1.0, -2.5])
         x, y = sp.xy_forward(p, q, 6.0)
         assert [(a, b) for a, b in zip(x, y)] == [sp.xy_forward(a, b, 6.0) for a, b in zip(p, q)]
-        assert list(sp.beta_m(p, q, 6.0, 3)) == [sp.beta_m(a, b, 6.0, 3) for a, b in zip(p, q)]
 
     @given(kappas, st.floats(min_value=-4, max_value=1.0),
            st.floats(min_value=0.05, max_value=3.0))
@@ -393,12 +411,6 @@ class TestUniversal:
     def test_partition_continuity_at_two(self):
         part = sp.universal_partition()
         assert abs(part["bulk"]["q_of_p"](2.0) - part["lin"]["q_of_p"](2.0)) < 1e-12
-
-    def test_custom_b0_model(self):
-        flat = sp.universal_partition(b0_model=lambda p: 0.0)
-        assert abs(flat["bulk"]["q_of_p"](1.0) - 1.0) < 1e-12
-        with pytest.raises(DomainError):
-            sp.universal_B(0.0, 0.0, b0_model="unknown")
 
     def test_feng_mcgregor_domain(self):
         assert sp.feng_mcgregor_domain(2.0, 1.0)

@@ -72,3 +72,28 @@ def test_cli_runs_without_scipy(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
     assert all((tmp_path / f"out{i}.csv").stat().st_size for i in range(len(_CLI_CALLS)))
+
+
+_TRACER_SCRIPT = """
+import sys
+sys.path.insert(0, sys.argv[1])
+import worker
+from spans import Tracer
+tracer = Tracer()
+worker.install_tracer(tracer)
+wrapped = list(tracer._patches._saved)
+tracer.uninstall()
+restored = all(getattr(module, attr) is original for module, attr, original in wrapped)
+print(len(wrapped), restored)
+"""
+
+
+def test_perfbench_tracer_wraps_resolve():
+    # the benchmark's traced runs wrap slelab functions by name; a renamed or
+    # deleted one makes install_tracer raise AttributeError
+    bench = SRC.parents[1] / "perfbench"
+    proc = subprocess.run([sys.executable, "-c", _TRACER_SCRIPT, str(bench)],
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    n_wrapped, restored = proc.stdout.split()
+    assert int(n_wrapped) > 0 and restored == "True"
