@@ -99,21 +99,44 @@ def _time_grid(cfg: SimConfig):
     return times
 
 
+# bytes of standard normals drawn at a time: drivers are built a block of
+# rows at a time straight into the array they return
+_BLOCK_BYTES = 1 << 18
+
+
+def _normal_blocks(rng, n_rows, n_cols):
+    """Standard normals of an (n_rows, n_cols) array, drawn in row-major order.
+
+    Yields (rows, block) a block of rows at a time; every block is the same
+    reused buffer of at most ``_BLOCK_BYTES`` (one row if a row is larger).
+    """
+    step = max(1, _BLOCK_BYTES // (8 * max(n_cols, 1)))
+    buf = np.empty((min(step, n_rows), n_cols))
+    for r0 in range(0, n_rows, step):
+        block = buf[:n_rows - r0]
+        rng.standard_normal(out=block)
+        yield slice(r0, r0 + len(block)), block
+
+
 def sample_driver(cfg: SimConfig, n_paths: int | None = None, rng=None) -> DrivingPath:
     """Sample Brownian driving angles theta_k ~ sqrt(kappa) B_{t_k}.
 
     Deterministic function of (seed, stream_id) when ``rng`` is not given.
+    The normals are drawn in row-major order, a block of rows at a time, and
+    each block is scaled and summed into ``theta``, so the driver is the one
+    array of its size that the call allocates.
     """
     times = _time_grid(cfg)
     steps = np.diff(times)
     if rng is None:
         rng = _rng(cfg)
-    shape = (len(steps),) if n_paths is None else (n_paths, len(steps))
-    incr = rng.standard_normal(shape) * np.sqrt(cfg.kappa * steps)
-    theta = np.concatenate(
-        [np.zeros(shape[:-1] + (1,)), np.cumsum(incr, axis=-1)], axis=-1
-    )
-    return DrivingPath(times=times, theta=theta)
+    scale = np.sqrt(cfg.kappa * steps)
+    theta = np.empty((1 if n_paths is None else n_paths, len(times)))
+    theta[:, 0] = 0.0
+    for rows, incr in _normal_blocks(rng, len(theta), len(steps)):
+        incr *= scale
+        np.cumsum(incr, axis=1, out=theta[rows, 1:])
+    return DrivingPath(times=times, theta=theta[0] if n_paths is None else theta)
 
 
 def constant_driver(cfg: SimConfig, value: float = 0.0) -> DrivingPath:
@@ -127,23 +150,27 @@ def refine_driver(path: DrivingPath, cfg: SimConfig, rng=None) -> tuple[DrivingP
 
     Returns the refined path together with a config whose ``dt`` is halved,
     so the same underlying Brownian path can be integrated at finer
-    resolution.
+    resolution.  The midpoints are written a block of rows at a time into
+    the odd columns of the refined array, from normals drawn in row-major
+    order.
     """
     if rng is None:
         rng = _rng(cfg, extra=(0xB51D6E,))
     t = path.times
     th = np.atleast_2d(path.theta)
     dt = np.diff(t)
-    mid_t = t[:-1] + dt / 2
-    mean = 0.5 * (th[:, :-1] + th[:, 1:])
     std = np.sqrt(cfg.kappa * dt / 4)
-    mid = mean + rng.standard_normal(mean.shape) * std
     new_t = np.empty(2 * len(dt) + 1)
     new_t[0::2] = t
-    new_t[1::2] = mid_t
+    new_t[1::2] = t[:-1] + dt / 2
     new_th = np.empty((th.shape[0], new_t.size))
     new_th[:, 0::2] = th
-    new_th[:, 1::2] = mid
+    for rows, z in _normal_blocks(rng, len(th), len(dt)):
+        z *= std
+        mid = new_th[rows, 1::2]
+        np.add(th[rows, :-1], th[rows, 1:], out=mid)
+        mid *= 0.5
+        mid += z                              # 0.5 * (a + b) + z * std
     if path.theta.ndim == 1:
         new_th = new_th[0]
     return (
@@ -289,7 +316,7 @@ def evolve(path: DrivingPath, cfg: SimConfig, points) -> WholePlaneSample:
     th = np.atleast_2d(path.theta)  # (n_paths, N+1)
     n_paths = th.shape[0]
 
-    w = np.broadcast_to(z0, (n_paths, z0.size)).astype(complex).copy()
+    w = np.broadcast_to(z0, (n_paths, z0.size)).copy()
     ld = np.zeros_like(w)
     lr = np.zeros_like(w)
     absw = np.abs(w)
@@ -364,6 +391,10 @@ def sample_ensemble(
     deterministic and independent of ``workers``.  Aggregation order is
     ascending stream id.
     """
+    if n_samples < 0:
+        raise ConfigError(f"n_samples must be >= 0, got {n_samples}")
+    if paths_per_stream < 1:
+        raise ConfigError(f"paths_per_stream must be >= 1, got {paths_per_stream}")
     if n_samples == 0:
         z0 = np.asarray(points, dtype=complex).reshape(-1)
         empty = np.zeros((0, z0.size), dtype=complex)

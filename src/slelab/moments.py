@@ -190,6 +190,9 @@ class LogCoeffStats:
 
 
 def circle_points(r, M):
+    """The M points r exp(2 pi i j / M), j = 0, ..., M - 1, for M >= 1 and r > 0."""
+    if not (M >= 1 and r > 0):
+        raise DomainError(f"a circle needs M >= 1 points and radius r > 0, got M={M}, r={r}")
     return r * np.exp(2j * np.pi * np.arange(M) / M)
 
 
@@ -201,6 +204,8 @@ def extract_log_coeffs(sample: WholePlaneSample, n_max: int, M: int | None = Non
     of log(f/z) on that circle, rescaled by r^{-n}.
     """
     M = M if M is not None else len(sample.z)
+    if M < 1:
+        raise DomainError(f"FFT size must be >= 1, got M={M}")
     if len(sample.z) != M:
         raise DomainError("sample points do not match the requested FFT size")
     r = abs(sample.z[0])

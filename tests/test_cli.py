@@ -135,6 +135,18 @@ class TestExitCodes:
         assert capsys.readouterr().err.startswith("error: diagnose takes one --z point")
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv, message", [
+        (["moments", "--n-samples", "-5", "--z", "0.5"], "n_samples must be >= 0"),
+        (["simulate", "--n-samples", "-1", "--z", "0.5"], "n_samples must be >= 0"),
+        (["log-coeffs", "--n-samples", "4", "--fft-size", "0"], "a circle needs M >= 1"),
+        (["log-coeffs", "--n-samples", "4", "--radius", "0"], "a circle needs M >= 1"),
+    ])
+    def test_bad_ensemble_or_circle_is_1(self, argv, message, tmp_path, capsys):
+        out = tmp_path / "out.csv"
+        assert run(argv + ["--T", "0.1", "--dt", "0.01", "--output", str(out)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {message}")
+        assert not out.exists()
+
     @pytest.mark.parametrize("argv", [
         ["check", "--kappa", "0"],
         ["spectrum", "--kappa", "0", "--p", "0", "--q", "0"],

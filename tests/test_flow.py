@@ -1,5 +1,7 @@
 """Tests for the reverse radial flow integrator."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
@@ -16,6 +18,47 @@ from slelab.flow import (
     sample_ensemble,
     whole_plane_sample,
 )
+
+
+def whole_driver(cfg, n_paths=None):
+    """The driver built whole: the increments, their cumsum and a zero column."""
+    times = flow._time_grid(cfg)
+    steps = np.diff(times)
+    shape = (len(steps),) if n_paths is None else (n_paths, len(steps))
+    incr = flow._rng(cfg).standard_normal(shape) * np.sqrt(cfg.kappa * steps)
+    return np.concatenate([np.zeros(shape[:-1] + (1,)), np.cumsum(incr, axis=-1)], axis=-1)
+
+
+def whole_refinement(path, cfg):
+    """Brownian-bridge midpoints 0.5 (a + b) + z std of the whole driver at once."""
+    rng = flow._rng(cfg, extra=(0xB51D6E,))
+    th = np.atleast_2d(path.theta)
+    dt = np.diff(path.times)
+    z = rng.standard_normal(th[:, 1:].shape)
+    mid = 0.5 * (th[:, :-1] + th[:, 1:]) + z * np.sqrt(cfg.kappa * dt / 4)
+    out = np.empty((th.shape[0], 2 * len(dt) + 1))
+    out[:, 0::2] = th
+    out[:, 1::2] = mid
+    return out[0] if path.theta.ndim == 1 else out
+
+
+def block_rows(cfg):
+    """Rows of a driver that ``flow`` draws together."""
+    return flow._BLOCK_BYTES // (8 * cfg.n_steps)
+
+
+def same_bits(a, b):
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+def traced_peak(fn, *args):
+    """Peak bytes that ``fn(*args)`` allocates, as tracemalloc sees them, and its result."""
+    tracemalloc.start()
+    try:
+        out = fn(*args)
+        return tracemalloc.get_traced_memory()[1], out
+    finally:
+        tracemalloc.stop()
 
 
 def small_cfg(**kw):
@@ -82,6 +125,37 @@ class TestDriver:
         assert fcfg.dt == cfg.dt / 2
         assert np.array_equal(fine.theta[:, ::2], path.theta)
         assert np.allclose(fine.times[::2], path.times)
+
+    # the ragged grid (4 steps, the last 0.1 long) and a longer one
+    @pytest.mark.parametrize("T, dt", [(1.0, 0.3), (2.0, 4e-3)])
+    def test_blocks_match_whole_array_oracle(self, T, dt):
+        cfg = small_cfg(kappa=6.0, horizon_T=T, dt=dt, seed=21, stream_id=4)
+        B = block_rows(cfg)
+        assert B > 1
+        for n in (None, 1, B - 1, B, B + 1, 2 * B + 3):
+            path = sample_driver(cfg, n_paths=n)
+            assert same_bits(path.theta, whole_driver(cfg, n))
+            assert same_bits(refine_driver(path, cfg)[0].theta, whole_refinement(path, cfg))
+
+    def test_rows_do_not_depend_on_n_paths(self):
+        cfg = small_cfg(kappa=6.0, horizon_T=2.0, dt=4e-3, seed=22)
+        B = block_rows(cfg)
+        full = sample_driver(cfg, n_paths=2 * B + 3).theta
+        for n in (1, B - 1, B, B + 1, 2 * B + 2):
+            assert same_bits(sample_driver(cfg, n_paths=n).theta, full[:n])
+
+    def test_driver_is_the_only_large_array(self):
+        cfg = small_cfg(kappa=6.0, horizon_T=8.0, dt=1e-3, seed=23)
+        peak, path = traced_peak(sample_driver, cfg, 700)
+        assert path.theta.shape == (700, 8001)
+        assert peak <= 1.1 * path.theta.nbytes
+
+    def test_refinement_is_the_only_large_array(self):
+        cfg = small_cfg(kappa=6.0, horizon_T=8.0, dt=4e-3, seed=24)
+        path = sample_driver(cfg, n_paths=700)
+        peak, (fine, _) = traced_peak(refine_driver, path, cfg)
+        assert fine.theta.shape == (700, 4001)
+        assert peak <= 1.1 * fine.theta.nbytes
 
 
 def theta_zero_oracle(z, T):
@@ -363,6 +437,11 @@ class TestSamples:
         s = sample_ensemble(cfg, [0.2], 25, paths_per_stream=10)
         assert s.n_samples == 25
         assert list(np.bincount(s.stream_ids)) == [10, 10, 5]
+
+    @pytest.mark.parametrize("n_samples, per_stream", [(-1, 10), (5, 0), (5, -2)])
+    def test_bad_ensemble_size_rejected(self, n_samples, per_stream):
+        with pytest.raises(ConfigError):
+            sample_ensemble(small_cfg(), [0.2], n_samples, paths_per_stream=per_stream)
 
     def test_empty_ensemble(self):
         cfg = small_cfg()

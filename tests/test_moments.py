@@ -162,6 +162,17 @@ class TestLogCoeffs:
         pts = circle_points(0.5, 4)
         assert np.allclose(pts, [0.5, 0.5j, -0.5, -0.5j])
 
+    @pytest.mark.parametrize("r, M", [(0.5, 0), (0.0, 8), (-0.5, 8), (float("nan"), 8)])
+    def test_bad_circle_rejected(self, r, M):
+        with pytest.raises(DomainError):
+            circle_points(r, M)
+
+    @pytest.mark.parametrize("points", [[], [0.0, 0.0]])
+    def test_degenerate_circle_rejected(self, points):
+        s = mc_sample(points, n=2, dt=2e-2, T=1.0)
+        with pytest.raises(DomainError):
+            extract_log_coeffs(s, 0)
+
     def test_non_circle_rejected(self):
         s = mc_sample([0.1, 0.2], n=2, dt=2e-2, T=1.0)
         with pytest.raises(DomainError):
