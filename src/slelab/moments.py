@@ -19,6 +19,7 @@ from .spectrum import cartesian_residual, parabola_point
 __all__ = [
     "MomentEstimate",
     "LogCoeffStats",
+    "MeansScan",
     "parabola_point",
     "parabola_gamma",
     "parabola_gamma_from_pq",
@@ -29,6 +30,7 @@ __all__ = [
     "estimate_moduli",
     "estimate_two_point",
     "stationarity_diagnostic",
+    "circle_points",
     "extract_log_coeffs",
     "log_coeff_sq_expectation",
     "log_coeff_cross_expectation",
@@ -109,9 +111,16 @@ def _weights_one_point(sample, p, q, z):
 
 
 def _mean_and_stderr(x):
-    """Mean of x over axis 0 and its standard error (ddof 0), zero when N <= 1."""
-    n = len(x)
-    stderr = np.std(x, axis=0) / np.sqrt(n) if n > 1 else np.zeros(np.shape(x)[1:])
+    """Mean of x over axis 0 and its standard error (ddof 0), zero when N <= 1.
+
+    An empty x has NaN means (NaN + NaN j for complex x), built here since
+    np.mean would warn of an empty slice.
+    """
+    n, shape = len(x), np.shape(x)[1:]
+    if n == 0:
+        nan = complex(np.nan, np.nan) if np.iscomplexobj(x) else np.nan
+        return np.full(shape, nan), np.zeros(shape)
+    stderr = np.std(x, axis=0) / np.sqrt(n) if n > 1 else np.zeros(shape)
     return np.mean(x, axis=0), stderr
 
 
@@ -307,7 +316,8 @@ def integral_means_scan(integrand, p, q, kappa, r_grid, angular_M=512) -> MeansS
     ``integrand`` is either the string ``"closed"`` (usable when (p, q)
     lies on the integrability parabola) or a callable z -> E-values.
     The growth exponent beta is fitted by least squares of log(integral)
-    against -log(1 - r^2) over the top half of ``r_grid``.
+    against -log(1 - r^2) over the top half of ``r_grid``, so the fit needs
+    at least 3 radii.
     """
     r_grid = np.asarray(r_grid, dtype=float)
     if np.any(np.diff(r_grid) <= 0) or np.any(r_grid <= 0) or np.any(r_grid >= 1):
@@ -325,6 +335,9 @@ def integral_means_scan(integrand, p, q, kappa, r_grid, angular_M=512) -> MeansS
             return closed_moduli(zz, kappa, gamma) / np.abs(zz) ** q
     else:
         func = integrand
+    if len(r_grid) < 3:
+        raise DomainError(f"the slope fit over the top half of r_grid needs at least 3 radii, "
+                          f"got {len(r_grid)}")
 
     def one_ring(r):
         # resolve the angular feature of width ~(1 - r) near theta = 0

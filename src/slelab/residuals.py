@@ -285,7 +285,7 @@ def _intersection_params(kappa):
     kappa t^2 equals the ordinate of P0 past the vertex.
     """
     sp = _spec.special_points(kappa)
-    v = (4 + kappa) ** 2 / (8 * kappa)
+    v = _spec.delta0_of(kappa)
     g_p0 = _quadratic_root_in(-kappa / 2, 0.0, v - sp.p0, 0.2 + 1 / kappa, 0.3 + 1 / kappa)
     g_q1 = _quadratic_root_in(-kappa / 2, 2 + kappa / 2, -sp.p0prime, -6 - 6 / kappa, 0.0)
     g_vertex = (3 + kappa / 2) / (2 * kappa)

@@ -45,9 +45,6 @@ __all__ = [
 
 BOUNDARY_TOL = 1e-10
 
-CURVE_IDS = ("redParabola", "greenParabola", "blueQuartic",
-             "D0", "D1", "D0prime", "Delta0", "Delta1")
-
 
 # ---------------------------------------------------------------------------
 # the four spectrum functions
@@ -114,7 +111,7 @@ def parabola_point(kappa, g):
 
 
 def _green(kappa, g):
-    v = (4 + kappa) ** 2 / (8 * kappa)
+    v = delta0_of(kappa)
     p = v - (kappa / 2) * g**2
     q = v + g - kappa * g**2
     return p, q
@@ -138,8 +135,24 @@ def p0prime_of(kappa):
     return -1 - 3 * kappa / 8
 
 
+def delta0_of(kappa):
+    """Abscissa of Delta_0, the vertex line of the red and green parabolas."""
+    return (4 + kappa) ** 2 / (8 * kappa)
+
+
 def d1_offset(kappa):
     return (16 - kappa**2) / (32 * kappa)
+
+
+# the straight separatrices by id: (True, c) is the vertical p = c(kappa),
+# (False, c) the diagonal q = p + c(kappa)
+_LINES = {
+    "D0": (True, p0_of),
+    "D0prime": (True, p0prime_of),
+    "Delta0": (True, delta0_of),
+    "D1": (False, d1_offset),
+    "Delta1": (False, lambda kappa: 1 / (2 * kappa)),
+}
 
 
 def special_points(kappa) -> SpecialPoints:
@@ -173,16 +186,9 @@ def curve_eval(curve_id, kappa, param):
         return _green(kappa, param)
     if curve_id == "blueQuartic":
         return _quartic(kappa, param)
-    if curve_id == "D0":
-        return p0_of(kappa), param
-    if curve_id == "D1":
-        return param, param + d1_offset(kappa)
-    if curve_id == "D0prime":
-        return p0prime_of(kappa), param
-    if curve_id == "Delta0":
-        return (4 + kappa) ** 2 / (8 * kappa), param
-    if curve_id == "Delta1":
-        return param, param + 1 / (2 * kappa)
+    if curve_id in _LINES:
+        vertical, c = _LINES[curve_id]
+        return (c(kappa), param) if vertical else (param, param + c(kappa))
     raise DomainError(f"unknown curve id {curve_id!r}")
 
 
@@ -200,16 +206,9 @@ def cartesian_residual(curve_id, kappa, p, q):
         c = (8 + kappa) ** 2 / 64 + kappa / 4
         return (u**2 - kappa / 8 * u + kappa**2 / 256 - c / 4) * (u - 1 - kappa / 8) * u \
             - (kappa / 2) * (p - q) * (u - 0.25 - kappa / 8) ** 2
-    if curve_id == "D0":
-        return p - p0_of(kappa)
-    if curve_id == "D1":
-        return q - p - d1_offset(kappa)
-    if curve_id == "D0prime":
-        return p - p0prime_of(kappa)
-    if curve_id == "Delta0":
-        return p - (4 + kappa) ** 2 / (8 * kappa)
-    if curve_id == "Delta1":
-        return q - p - 1 / (2 * kappa)
+    if curve_id in _LINES:
+        vertical, c = _LINES[curve_id]
+        return p - c(kappa) if vertical else q - p - c(kappa)
     raise DomainError(f"unknown curve id {curve_id!r}")
 
 
@@ -217,52 +216,32 @@ def cartesian_residual(curve_id, kappa, p, q):
 # region classification
 
 
-def _quartic_param(p, kappa):
-    """Parameters g >= 1 + 2/kappa at which the quartic has abscissae p < p0'.
-
-    On g >= 1 + 2/kappa the abscissa is decreasing and concave in g (the
-    square root of the positive-definite quadratic disc is convex), so
-    Newton's method started right of the root descends monotonically onto
-    it.  Doubling the distance from 1 + 2/kappa finds such a start.  An
-    entry stops moving once its own step is negligible, so each result
-    depends on its own p alone.
-    """
-    g_lo = 1 + 2 / kappa
-    g = np.full(p.shape, g_lo + 1.0)
-    while True:
-        short = _quartic(kappa, g)[0] > p
-        if not short.any():
-            break
-        g[short] = g_lo + 2 * (g[short] - g_lo)
-    done = np.zeros(p.shape, dtype=bool)
-    for _ in range(50):
-        root = np.sqrt(_quartic_disc(kappa, g))
-        df = 1 + kappa / 4 - kappa * g - (8 * kappa**2 * g - 2 * kappa * (4 + kappa)) / (16 * root)
-        step = np.where(done, 0.0, (_quartic(kappa, g)[0] - p) / df)
-        g = g - step
-        done |= np.abs(step) <= 1e-13 * g
-        if done.all():
-            return g
-    raise DomainError(f"quartic branch inversion did not converge for kappa={kappa}")
+def _require_finite(name, a):
+    if not np.isfinite(a).all():
+        raise DomainError(f"{name} must be finite, got {name}={a[~np.isfinite(a)].flat[0]}")
 
 
 def lower_boundary_q(p, kappa):
     """Ordinate of the composite lower boundary (quartic / green arc / D1).
 
-    p may be an array.  Right of D0 the boundary is the line D1; on
-    [p0', p0) it is the green arc p = v - (kappa/2) g^2, inverted in closed
-    form; left of D0' it is the quartic branch, inverted by Newton's method.
+    p may be an array of finite values.  Right of D0 the boundary is the
+    line D1; on [p0', p0) it is the green arc p = v - (kappa/2) g^2; left
+    of D0' it is the quartic branch, the hyperbola
+    4(y - kappa/4)^2 - (x - kappa/2)^2 + 6(kappa + 2) = 0 in the conic
+    coordinates, on its branch through Q0 (x = 2 kappa + 4, y = kappa + 1)
+    that has x - 2y -> 0 as its asymptote.  All three are closed forms.
     """
     p = np.asarray(p, dtype=float)
+    _require_finite("p", p)
     flat = p.ravel()
     p0p = p0prime_of(kappa)
     qb = flat + d1_offset(kappa)
     arc = (flat >= p0p) & (flat < p0_of(kappa))
-    v = (4 + kappa) ** 2 / (8 * kappa)
-    qb[arc] = _green(kappa, np.sqrt(2 * (v - flat[arc]) / kappa))[1]
+    qb[arc] = _green(kappa, np.sqrt(2 * (delta0_of(kappa) - flat[arc]) / kappa))[1]
     quartic = flat < p0p
-    if quartic.any():
-        qb[quartic] = _quartic(kappa, _quartic_param(flat[quartic], kappa))[1]
+    x = _disc0(flat[quartic], kappa)
+    y = kappa / 4 + 0.5 * np.sqrt((x - kappa / 2) ** 2 - 6 * (kappa + 2))
+    qb[quartic] = flat[quartic] - (y**2 - 1) / (2 * kappa)
     return qb.reshape(p.shape)[()]
 
 
@@ -296,7 +275,8 @@ def classify(p, q, kappa) -> SpectrumPoint:
     adjacent regions on a separatrix and empty strings elsewhere.
     """
     pa, qa = np.broadcast_arrays(np.asarray(p, dtype=float), np.asarray(q, dtype=float))
-    qb = lower_boundary_q(pa, kappa)
+    qb = lower_boundary_q(pa, kappa)   # rejects a non-finite p
+    _require_finite("q", qa)
     p0 = p0_of(kappa)
     p0p = p0prime_of(kappa)
 
@@ -381,7 +361,7 @@ def xy_inverse(x, y, kappa):
 
 def xy_spectra(x, y, kappa):
     """(beta_1, beta_0, beta_tip, beta_lin) in conic coordinates."""
-    v = (4 + kappa) ** 2 / (8 * kappa)
+    v = delta0_of(kappa)
     b1 = -(x**2) / (8 * kappa) + y**2 / kappa - y / 2 + v - 0.5 - 1 / kappa
     b0 = x**2 / (8 * kappa) - (4 + kappa) * x / (4 * kappa) + v
     btip = x**2 / (8 * kappa) - x / 4 - v + kappa / 4

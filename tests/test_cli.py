@@ -4,6 +4,7 @@ import argparse
 import csv
 import io
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -84,6 +85,25 @@ class TestDeterminism:
         assert a.read_bytes() == b.read_bytes()
 
 
+@pytest.mark.parametrize("argv, nan_columns", [
+    (["moments", "--z", "0.5"], ("estimate_re", "estimate_im")),
+    (["moments", "--z", "0.5", "--kind", "moduli"], ("estimate_re",)),
+    (["two-point"], ("estimate_re", "estimate_im")),
+    (["log-coeffs"], ("mean_re", "mean_im", "mean_sq")),
+])
+def test_empty_ensemble_writes_nan_without_warnings(argv, nan_columns, tmp_path):
+    out = tmp_path / "out.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(argv + ["--n-samples", "0", "--T", "0.1", "--dt", "0.01", "--no-header",
+                           "--output", str(out)]) == 0
+    _, rows = read_table(out)
+    assert rows
+    for row in rows:
+        assert all(row[c] == "nan" for c in nan_columns)
+        assert row.get("stderr", "0.0") == "0.0"
+
+
 class TestConfigFile:
     def test_config_defaults_and_flag_override(self, tmp_path):
         cfgfile = tmp_path / "cfg.json"
@@ -145,6 +165,29 @@ class TestExitCodes:
         out = tmp_path / "out.csv"
         assert run(argv + ["--T", "0.1", "--dt", "0.01", "--output", str(out)]) == 1
         assert capsys.readouterr().err.startswith(f"error: {message}")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv, message", [
+        (["spectrum", "--kappa", "6", "--p=1", "--q=nan"], "q must be finite"),
+        (["spectrum", "--kappa", "6", "--p=nan", "--q=1"], "p must be finite"),
+        (["spectrum", "--kappa", "6", "--p=-inf", "--q=1"], "p must be finite"),
+        (["spectrum", "--kappa", "6", "--m", "3", "--p=0", "--q=inf"], "q must be finite"),
+        (["phase-diagram", "--kappa", "6", "--resolution", "4", "--curve-points", "4",
+          "--q-max=inf"], "q must be finite"),
+    ])
+    def test_non_finite_exponents_are_1(self, argv, message, tmp_path, capsys):
+        out = tmp_path / "out.csv"
+        with np.errstate(all="ignore"):
+            assert run(argv + ["--output", str(out)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {message}")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("n_r", ["0", "1", "2"])
+    def test_means_scan_short_radius_grid_is_1(self, n_r, tmp_path, capsys):
+        out = tmp_path / "out.csv"
+        assert run(["means-scan", "--n-r", n_r, "--output", str(out)]) == 1
+        assert capsys.readouterr().err.startswith(
+            f"error: the slope fit over the top half of r_grid needs at least 3 radii, got {n_r}")
         assert not out.exists()
 
     @pytest.mark.parametrize("argv", [

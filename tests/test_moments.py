@@ -269,6 +269,12 @@ class TestMeansScan:
         with pytest.raises(DomainError):
             integral_means_scan("closed", 2.0, 2.0, 2.0, [0.5, 0.4])
 
+    @pytest.mark.parametrize("r_grid", [[], [0.5], [0.5, 0.6]])
+    def test_short_grid_rejected(self, r_grid):
+        # the slope is fitted over the top half of the grid
+        with pytest.raises(DomainError, match="at least 3 radii"):
+            integral_means_scan(lambda z: np.ones_like(z, dtype=float), 0.0, 0.0, 2.0, r_grid)
+
     def test_off_parabola_rejected(self):
         with pytest.raises(DomainError):
             integral_means_scan("closed", 2.0, 1.0, 2.0, [0.5, 0.6])

@@ -195,12 +195,35 @@ class TestLowerBoundaryArrays:
     @given(st.floats(min_value=0.1, max_value=50.0), st.floats(min_value=0.01, max_value=100.0))
     @settings(max_examples=150, deadline=None)
     def test_quartic_abscissa_decreasing_and_concave(self, kappa, span):
-        # the Newton inversion of the quartic branch relies on both
+        # the quartic branch is a graph over p < p0', one g per abscissa
         g = 1 + 2 / kappa + np.linspace(0.0, span, 400)
         p = sp.curve_eval("blueQuartic", kappa, g)[0]
         assert abs(p[0] - sp.p0prime_of(kappa)) < 1e-12 * max(1.0, abs(p[0]))
         assert np.all(np.diff(p) < 0)
         assert np.all(np.diff(p, 2) <= 1e-12 * np.max(np.abs(p)))
+
+    @pytest.mark.parametrize("kappa", [0.5, 2.0, 6.0, 50.0])
+    def test_pieces_in_conic_coordinates(self, kappa):
+        # D1 is y = kappa/4, the green arc y = x/2 - 1 and the quartic the hyperbola
+        s = sp.special_points(kappa)
+        pieces = [(np.linspace(s.p0prime - 40, s.p0prime, 80, endpoint=False), "quartic"),
+                  (np.linspace(s.p0prime, s.p0, 40, endpoint=False), "arc"),
+                  (np.linspace(s.p0, sp.delta0_of(kappa), 41)[:-1], "D1")]
+        for p, piece in pieces:
+            x, y = sp.xy_forward(p, sp.lower_boundary_q(p, kappa), kappa)
+            scale = 1.0 + x**2
+            if piece == "quartic":
+                res = sp.quartic_hyperbola_residual(x, y, kappa)
+            elif piece == "arc":
+                res = y - (x / 2 - 1)
+            else:
+                res = y - kappa / 4
+            assert np.all(np.abs(res) <= 1e-12 * scale), (piece, np.max(np.abs(res) / scale))
+
+    def test_non_finite_input_raises(self):
+        for p in (np.nan, np.inf, np.array([0.0, -np.inf])):
+            with pytest.raises(DomainError, match="p must be finite"):
+                sp.lower_boundary_q(p, 6.0)
 
 
 def _near_separatrices(kappa):
@@ -220,6 +243,12 @@ def _near_separatrices(kappa):
 
 
 class TestClassifyArrays:
+    @pytest.mark.parametrize("p, q, name", [(1.0, np.nan, "q"), (np.nan, 1.0, "p"),
+                                            (-np.inf, 1.0, "p"), ([0.0, 1.0], [0.0, np.inf], "q")])
+    def test_non_finite_input_raises(self, p, q, name):
+        with pytest.raises(DomainError, match=f"{name} must be finite"):
+            sp.classify(p, q, 6.0)
+
     @pytest.mark.parametrize("kappa", [0.5, 6.0, 50.0])
     @pytest.mark.parametrize("m", [1, 3, -2])
     def test_array_equals_scalar_calls(self, kappa, m):

@@ -1,11 +1,14 @@
 """Rules on the package source that CI enforces."""
 
 import ast
+import importlib
 import json
 import os
 import pathlib
 import subprocess
 import sys
+
+import slelab
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "slelab"
 
@@ -97,3 +100,23 @@ def test_perfbench_tracer_wraps_resolve():
     assert proc.returncode == 0, proc.stderr
     n_wrapped, restored = proc.stdout.split()
     assert int(n_wrapped) > 0 and restored == "True"
+
+
+def _reexports():
+    """(submodule, name) of every name that slelab/__init__.py imports from a submodule."""
+    tree = ast.parse((SRC / "__init__.py").read_text())
+    return [(node.module, alias.asname or alias.name)
+            for node in tree.body if isinstance(node, ast.ImportFrom) and node.level == 1
+            for alias in node.names]
+
+
+def test_reexports_match_submodule_all():
+    reexports = _reexports()
+    assert reexports
+    unlisted = [f"{module}.{name}" for module, name in reexports
+                if name not in importlib.import_module(f"slelab.{module}").__all__]
+    assert not unlisted, f"re-exported by slelab but not in the submodule's __all__: {unlisted}"
+    missing = [f"{module}.{name}" for module in sorted({m for m, _ in reexports})
+               for name in importlib.import_module(f"slelab.{module}").__all__
+               if not hasattr(slelab, name)]
+    assert not missing, f"in a submodule's __all__ but not an attribute of slelab: {missing}"
