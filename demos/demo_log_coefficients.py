@@ -21,7 +21,7 @@ from slelab import (
 N, r, M = 4000, 0.6, 16
 cfg = SimConfig(kappa=2.0, horizon_T=6.0, dt=4e-3, seed=3)
 sample = sample_ensemble(cfg, circle_points(r, M), N, workers=1)
-stats = extract_log_coeffs(sample, n_max=4, M=M)
+stats = extract_log_coeffs(sample, n_max=4)
 
 print(f"kappa=2, N={N}, circle radius {r}, {M} angular points")
 print()

@@ -19,7 +19,6 @@ from .flow import (
     refine_driver,
     sample_driver,
     sample_ensemble,
-    whole_plane_sample,
 )
 from .moments import (
     LogCoeffStats,

@@ -174,17 +174,13 @@ def _parse_complex(s):
         raise ConfigError(f"cannot parse complex number {s!r}") from exc
 
 
-def _workers(args):
-    return max(1, args.workers)
-
-
 def _sim_config(args):
     return SimConfig(kappa=args.kappa, horizon_T=args.T, dt=args.dt, seed=args.seed)
 
 
 def _ensemble(args, points):
     cfg = _sim_config(args)
-    return flow.sample_ensemble(cfg, points, args.n_samples, workers=_workers(args))
+    return flow.sample_ensemble(cfg, points, args.n_samples, workers=args.workers)
 
 
 # ---------------------------------------------------------------------------
@@ -257,8 +253,8 @@ def _cmd_two_point(args):
 
 def _cmd_log_coeffs(args):
     pts = moments.circle_points(args.radius, args.fft_size)
-    sample = _ensemble(args, pts)
-    stats = moments.extract_log_coeffs(sample, args.n_max, M=args.fft_size)
+    moments._check_log_coeff_sizes(args.n_max, args.fft_size)
+    stats = moments.extract_log_coeffs(_ensemble(args, pts), args.n_max)
     rows = []
     for i in range(args.n_max):
         n = i + 1
@@ -321,6 +317,8 @@ def _cmd_phase_diagram(args):
     p_hi = args.p_max if args.p_max is not None else sp.p0 + 6
     q_lo = args.q_min if args.q_min is not None else sp.Q0[1] - 6
     q_hi = args.q_max if args.q_max is not None else sp.P0[1] + 6
+    spectrum._require_finite("p", np.array([p_lo, p_hi], dtype=float))
+    spectrum._require_finite("q", np.array([q_lo, q_hi], dtype=float))
     n = args.resolution
     p, q = _grid(np.linspace(p_lo, p_hi, n), np.linspace(q_lo, q_hi, n))
     res = spectrum.classify_mfold(p, q, args.kappa, args.m)
@@ -380,7 +378,7 @@ def _cmd_diagnose(args):
     z = _parse_complex(args.z[0]) if args.z else 0.5 + 0j
     T_list = sorted(args.T_list) if args.T_list else [2.0, 4.0, 6.0, 8.0]
     rows = moments.stationarity_diagnostic(cfg, z, T_list, args.n_samples,
-                                           p=args.p, q=args.q, workers=_workers(args))
+                                           p=args.p, q=args.q, workers=args.workers)
     _emit(args, ("T", "estimate", "stderr"), rows)
     return 0
 

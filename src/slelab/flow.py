@@ -27,7 +27,6 @@ __all__ = [
     "constant_driver",
     "refine_driver",
     "evolve",
-    "whole_plane_sample",
     "sample_ensemble",
 ]
 
@@ -42,10 +41,6 @@ class DomainError(ValueError):
 
 class SingularityError(RuntimeError):
     """The flow came numerically too close to the driving point."""
-
-    def __init__(self, message, t=None):
-        super().__init__(message)
-        self.t = t
 
 
 @dataclass(frozen=True)
@@ -83,10 +78,6 @@ class DrivingPath:
     times: np.ndarray
     theta: np.ndarray
 
-    @property
-    def n_paths(self):
-        return 1 if self.theta.ndim == 1 else self.theta.shape[0]
-
 
 def _rng(cfg: SimConfig, extra=()):
     return np.random.default_rng([cfg.seed & (2**64 - 1), cfg.stream_id & (2**64 - 1), *extra])
@@ -118,22 +109,20 @@ def _normal_blocks(rng, n_rows, n_cols):
         yield slice(r0, r0 + len(block)), block
 
 
-def sample_driver(cfg: SimConfig, n_paths: int | None = None, rng=None) -> DrivingPath:
+def sample_driver(cfg: SimConfig, n_paths: int | None = None) -> DrivingPath:
     """Sample Brownian driving angles theta_k ~ sqrt(kappa) B_{t_k}.
 
-    Deterministic function of (seed, stream_id) when ``rng`` is not given.
-    The normals are drawn in row-major order, a block of rows at a time, and
-    each block is scaled and summed into ``theta``, so the driver is the one
-    array of its size that the call allocates.
+    Deterministic function of (seed, stream_id).  The normals are drawn in
+    row-major order, a block of rows at a time, and each block is scaled
+    and summed into ``theta``, so the driver is the one array of its size
+    that the call allocates.
     """
     times = _time_grid(cfg)
     steps = np.diff(times)
-    if rng is None:
-        rng = _rng(cfg)
     scale = np.sqrt(cfg.kappa * steps)
     theta = np.empty((1 if n_paths is None else n_paths, len(times)))
     theta[:, 0] = 0.0
-    for rows, incr in _normal_blocks(rng, len(theta), len(steps)):
+    for rows, incr in _normal_blocks(_rng(cfg), len(theta), len(steps)):
         incr *= scale
         np.cumsum(incr, axis=1, out=theta[rows, 1:])
     return DrivingPath(times=times, theta=theta[0] if n_paths is None else theta)
@@ -145,7 +134,7 @@ def constant_driver(cfg: SimConfig, value: float = 0.0) -> DrivingPath:
     return DrivingPath(times=times, theta=np.full_like(times, value))
 
 
-def refine_driver(path: DrivingPath, cfg: SimConfig, rng=None) -> tuple[DrivingPath, SimConfig]:
+def refine_driver(path: DrivingPath, cfg: SimConfig) -> tuple[DrivingPath, SimConfig]:
     """Insert Brownian-bridge midpoints, halving the driver step.
 
     Returns the refined path together with a config whose ``dt`` is halved,
@@ -154,8 +143,6 @@ def refine_driver(path: DrivingPath, cfg: SimConfig, rng=None) -> tuple[DrivingP
     the odd columns of the refined array, from normals drawn in row-major
     order.
     """
-    if rng is None:
-        rng = _rng(cfg, extra=(0xB51D6E,))
     t = path.times
     th = np.atleast_2d(path.theta)
     dt = np.diff(t)
@@ -165,7 +152,7 @@ def refine_driver(path: DrivingPath, cfg: SimConfig, rng=None) -> tuple[DrivingP
     new_t[1::2] = t[:-1] + dt / 2
     new_th = np.empty((th.shape[0], new_t.size))
     new_th[:, 0::2] = th
-    for rows, z in _normal_blocks(rng, len(th), len(dt)):
+    for rows, z in _normal_blocks(_rng(cfg, extra=(0xB51D6E,)), len(th), len(dt)):
         z *= std
         mid = new_th[rows, 1::2]
         np.add(th[rows, :-1], th[rows, 1:], out=mid)
@@ -296,7 +283,8 @@ def _rk4_substep(w, ld, lr, lam0, lam_half, lam1, h):
 
 
 def evolve(path: DrivingPath, cfg: SimConfig, points) -> WholePlaneSample:
-    """Integrate the conjugate reverse radial flow to t = horizon_T.
+    """Integrate the conjugate reverse radial flow to t = horizon_T, where
+    the driving path must end.
 
     The ODE for each point is dw/dt = w (w + lam)/(w - lam) with
     lam(t) = exp(i theta(t)), theta linearly interpolated inside each
@@ -311,8 +299,10 @@ def evolve(path: DrivingPath, cfg: SimConfig, points) -> WholePlaneSample:
     if np.any(np.abs(z0) > cfg.r_max + 1e-12):
         raise DomainError(f"all |z| must be <= r_max={cfg.r_max}")
     t = path.times
-    if t[-1] < cfg.horizon_T - 1e-12:
-        raise DomainError("driving path horizon is shorter than cfg.horizon_T")
+    # logf and logfp add cfg.horizon_T to the states at the driver's end
+    if abs(t[-1] - cfg.horizon_T) > 1e-12:
+        raise DomainError(f"driving path ends at t={float(t[-1])!r}, "
+                          f"not at cfg.horizon_T={cfg.horizon_T!r}")
     th = np.atleast_2d(path.theta)  # (n_paths, N+1)
     n_paths = th.shape[0]
 
@@ -344,9 +334,8 @@ def evolve(path: DrivingPath, cfg: SimConfig, points) -> WholePlaneSample:
                 if scan:
                     dmin = float(np.min(np.abs(w - lam0)))
                     if dmin < _W_LAMBDA_FLOOR:
-                        raise SingularityError(
-                            "flow point collided with the driving singularity", t=t0 + elapsed
-                        )
+                        raise SingularityError("flow point collided with the driving "
+                                               f"singularity at t={float(t0 + elapsed)!r}")
                     if dmin < delta:
                         h = min(macro * (dmin / delta) ** 2, h)
                 last = elapsed + h >= macro - 1e-15
@@ -359,22 +348,14 @@ def evolve(path: DrivingPath, cfg: SimConfig, points) -> WholePlaneSample:
                 substeps += 1
                 absw_new = np.abs(w)
                 if not np.all(absw_new <= absw + _MONOTONE_SLACK):
-                    raise SingularityError(
-                        "|w| failed to decrease; integrator step rejected", t=t0 + elapsed
-                    )
+                    raise SingularityError(f"|w| failed to decrease at t={float(t0 + elapsed)!r}; "
+                                           "integrator step rejected")
                 absw = absw_new
                 elapsed += h
                 lam0 = lam1
 
     return WholePlaneSample(z=z0, w=w, logderiv=ld, logratio=lr, config=cfg,
                             stream_ids=np.full(n_paths, cfg.stream_id), substeps=substeps)
-
-
-def whole_plane_sample(cfg: SimConfig, points, path: DrivingPath | None = None) -> WholePlaneSample:
-    """One whole-plane map realization evaluated at ``points``."""
-    if path is None:
-        path = sample_driver(cfg)
-    return evolve(path, cfg, points)
 
 
 def sample_ensemble(
@@ -395,6 +376,8 @@ def sample_ensemble(
         raise ConfigError(f"n_samples must be >= 0, got {n_samples}")
     if paths_per_stream < 1:
         raise ConfigError(f"paths_per_stream must be >= 1, got {paths_per_stream}")
+    if workers < 1:
+        raise ConfigError(f"workers must be >= 1, got {workers}")
     if n_samples == 0:
         z0 = np.asarray(points, dtype=complex).reshape(-1)
         empty = np.zeros((0, z0.size), dtype=complex)

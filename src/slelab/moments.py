@@ -45,9 +45,6 @@ class MomentEstimate:
     value: complex
     stderr: float
     n_samples: int
-    p: float = 0.0
-    q: float = 0.0
-    z: complex = 0.0
     median_of_means: float | None = None
 
 
@@ -124,21 +121,20 @@ def _mean_and_stderr(x):
     return np.mean(x, axis=0), stderr
 
 
-def _estimate(x, p, q, z, median_blocks=0):
+def _estimate(x, median_blocks=0):
     n = len(x)
     value, stderr = _mean_and_stderr(x)
     mom = None
     if median_blocks and n >= median_blocks:
         blocks = np.array_split(np.real(x), median_blocks)
         mom = float(np.median([np.mean(b) for b in blocks]))
-    return MomentEstimate(value=complex(value), stderr=float(stderr), n_samples=n, p=p, q=q,
-                          z=complex(z), median_of_means=mom)
+    return MomentEstimate(value=complex(value), stderr=float(stderr), n_samples=n,
+                          median_of_means=mom)
 
 
 def estimate_one_point(sample: WholePlaneSample, p, q, z) -> MomentEstimate:
     """Monte Carlo estimate of E(z^{q/2} f'^{p/2} / f^{q/2}) at z."""
-    x = _weights_one_point(sample, p, q, z)
-    return _estimate(x, p, q, z)
+    return _estimate(_weights_one_point(sample, p, q, z))
 
 
 def estimate_moduli(sample: WholePlaneSample, p, q, z) -> MomentEstimate:
@@ -148,7 +144,7 @@ def estimate_moduli(sample: WholePlaneSample, p, q, z) -> MomentEstimate:
     weights can be heavy tailed for large |q|.
     """
     x = np.exp(2 * _log_weight_one_point(sample, p, q, z).real)
-    return _estimate(x, p, q, z, median_blocks=16)
+    return _estimate(x, median_blocks=16)
 
 
 def estimate_two_point(sample: WholePlaneSample, p, q, z1, z2) -> MomentEstimate:
@@ -158,7 +154,7 @@ def estimate_two_point(sample: WholePlaneSample, p, q, z1, z2) -> MomentEstimate
         x = x1
     else:
         x = x1 * np.conj(_weights_one_point(sample, p, q, z2))
-    return _estimate(x, p, q, z1)
+    return _estimate(x)
 
 
 def stationarity_diagnostic(cfg: SimConfig, z, T_list, N, p=2.0, q=2.0, workers=1):
@@ -205,23 +201,27 @@ def circle_points(r, M):
     return r * np.exp(2j * np.pi * np.arange(M) / M)
 
 
-def extract_log_coeffs(sample: WholePlaneSample, n_max: int, M: int | None = None) -> LogCoeffStats:
+def _check_log_coeff_sizes(n_max, M):
+    """Raise unless 1 <= n_max < M/2, the coefficients an M-point FFT gives
+    without aliasing."""
+    if n_max < 1:
+        raise DomainError(f"n_max must be >= 1, got {n_max}")
+    if not n_max < M / 2:
+        raise DomainError(f"aliasing guard: need n_max < M/2, got n_max={n_max}, M={M}")
+
+
+def extract_log_coeffs(sample: WholePlaneSample, n_max: int) -> LogCoeffStats:
     """Logarithmic coefficients gamma_n of log(f(z)/z) = 2 sum gamma_n z^n.
 
-    The sample must be evaluated at the M-th roots of unity scaled by a
-    common radius r; gamma_n is half the n-th discrete Fourier coefficient
-    of log(f/z) on that circle, rescaled by r^{-n}.
+    The sample must be evaluated at the M = len(sample.z) roots of unity
+    scaled by a common radius r; gamma_n is half the n-th discrete Fourier
+    coefficient of log(f/z) on that circle, rescaled by r^{-n}.
     """
-    M = M if M is not None else len(sample.z)
-    if M < 1:
-        raise DomainError(f"FFT size must be >= 1, got M={M}")
-    if len(sample.z) != M:
-        raise DomainError("sample points do not match the requested FFT size")
+    M = len(sample.z)
+    _check_log_coeff_sizes(n_max, M)
     r = abs(sample.z[0])
     if not np.allclose(sample.z, circle_points(r, M), atol=1e-10):
         raise DomainError("sample points must be a uniform circle r * exp(2 pi i j / M)")
-    if not n_max < M / 2:
-        raise DomainError(f"aliasing guard: need n_max < M/2, got n_max={n_max}, M={M}")
 
     with np.errstate(divide="ignore"):
         vals = (sample.logf - np.log(sample.z)) / 2.0   # sum_n gamma_n z^n per sample

@@ -30,20 +30,19 @@ __all__ = [
     "run_all_checks",
 ]
 
-DEFAULT_H = 1e-4
+# central-difference step of every residual
+_H = 1e-4
 
 
-def _order_estimate(residual_at, h):
-    """Observed convergence order from the residuals at steps 2H and H.
-
-    H = max(h, 2e-3), a step large enough that truncation error dominates
-    roundoff.  ``residual_at(step)`` returns the absolute residual.
+def _order_estimate(residual_at):
+    """Observed convergence order from the residuals at steps 4e-3 and 2e-3,
+    steps large enough that truncation error dominates roundoff.
+    ``residual_at(step)`` returns the absolute residual.
     """
-    H = max(h, 2e-3)
-    r_fine = residual_at(H)
+    r_fine = residual_at(2e-3)
     if r_fine == 0:
         return np.inf
-    return float(np.log2(residual_at(2 * H) / r_fine))
+    return float(np.log2(residual_at(4e-3) / r_fine))
 
 
 def _report(check, inputs, residual, passed, order_estimate=None):
@@ -114,23 +113,23 @@ def _apply_P(G, z, kappa, p, q, h):
     return sum(terms), max(sum(abs(t) for t in terms), 1.0)
 
 
-def ode_residual(kappa, gamma, z, h=DEFAULT_H):
+def ode_residual(kappa, gamma, z):
     """Residual of the one-point moment ODE on (1 - z)^gamma at z."""
     z = complex(z)
     if abs(z) >= 1 or z == 0:
         raise DomainError("z must lie in the punctured unit disk")
     p, q = parabola_point(kappa, gamma)
     G = lambda w: closed_one_point(w, kappa, gamma)
-    cr = _holomorphy_probe(G, z, h)
+    cr = _holomorphy_probe(G, z, _H)
     if cr > 1e-6:
         raise DomainError(
             f"integrand fails the holomorphy probe at z={z} (CR mismatch {cr:.2e})"
         )
-    res, scale = _apply_P(G, z, kappa, p, q, h)
+    res, scale = _apply_P(G, z, kappa, p, q, _H)
     r1 = abs(res)
-    order = _order_estimate(lambda hh: abs(_apply_P(G, z, kappa, p, q, hh)[0]), h)
+    order = _order_estimate(lambda hh: abs(_apply_P(G, z, kappa, p, q, hh)[0]))
     return _report("one_point_ode", {"kappa": kappa, "gamma": gamma, "z": [z.real, z.imag],
-                                     "h": h, "scale": scale},
+                                     "h": _H, "scale": scale},
                    r1, r1 / scale < 1e-6, order)
 
 
@@ -145,7 +144,7 @@ def _cross_term(G, z1, z2b, kappa, h):
     return kappa * c / (4 * h**2)
 
 
-def pde_residual(kappa, gamma, z1, z2, h=DEFAULT_H):
+def pde_residual(kappa, gamma, z1, z2):
     """Residual of the two-point moment PDE at (z1, conj(z2))."""
     z1 = complex(z1)
     z2b = np.conj(complex(z2))
@@ -162,11 +161,11 @@ def pde_residual(kappa, gamma, z1, z2, h=DEFAULT_H):
         tc = _cross_term(G, z1, z2b, kappa, hh)
         return abs(t1 + t2 + tc), max(abs(t1) + abs(t2) + abs(tc), 1.0)
 
-    r1, scale = at(h)
-    order = _order_estimate(lambda hh: at(hh)[0], h)
+    r1, scale = at(_H)
+    order = _order_estimate(lambda hh: at(hh)[0])
     return _report("two_point_pde", {"kappa": kappa, "gamma": gamma, "z1": [z1.real, z1.imag],
                                      "z2": [complex(z2).real, complex(z2).imag],
-                                     "h": h, "scale": scale},
+                                     "h": _H, "scale": scale},
                    r1, r1 / scale < 1e-6, order)
 
 
@@ -209,22 +208,22 @@ def _moduli_operator(F, z, kappa, p, q, h, reduced_potential=False):
     return sum(terms), max(sum(abs(t) for t in terms), 1.0)
 
 
-def moduli_residual(kappa, gamma, z, h=DEFAULT_H):
+def moduli_residual(kappa, gamma, z):
     """Residual of the modulus-moment PDE on the two-point diagonal at z."""
     z = complex(z)
     if abs(z) >= 1:
         raise DomainError("z must lie in the unit disk")
     p, q = parabola_point(kappa, gamma)
     F = lambda x, y: closed_moduli(x + 1j * y, kappa, gamma)
-    res, scale = _moduli_operator(F, z, kappa, p, q, h)
+    res, scale = _moduli_operator(F, z, kappa, p, q, _H)
     r1 = abs(res)
-    order = _order_estimate(lambda hh: abs(_moduli_operator(F, z, kappa, p, q, hh)[0]), h)
+    order = _order_estimate(lambda hh: abs(_moduli_operator(F, z, kappa, p, q, hh)[0]))
     return _report("moduli_pde", {"kappa": kappa, "gamma": gamma, "z": [z.real, z.imag],
-                                  "h": h, "scale": scale},
+                                  "h": _H, "scale": scale},
                    r1, r1 / scale < 1e-6, order)
 
 
-def moduli_residual_gform(kappa, gamma, z, h=DEFAULT_H):
+def moduli_residual_gform(kappa, gamma, z):
     """Equivalent PDE for F/|z|^q: the potential loses its q/(1-z) terms."""
     z = complex(z)
     if abs(z) >= 1 or z == 0:
@@ -237,11 +236,11 @@ def moduli_residual_gform(kappa, gamma, z, h=DEFAULT_H):
 
     # the divided-out form has much larger radial curvature, so the h^2
     # truncation term is removed by Richardson extrapolation before testing
-    res_h, scale = _moduli_operator(G, z, kappa, p, q, h, reduced_potential=True)
-    res_2h, _ = _moduli_operator(G, z, kappa, p, q, 2 * h, reduced_potential=True)
+    res_h, scale = _moduli_operator(G, z, kappa, p, q, _H, reduced_potential=True)
+    res_2h, _ = _moduli_operator(G, z, kappa, p, q, 2 * _H, reduced_potential=True)
     r1 = abs((4 * res_h - res_2h) / 3)
     return _report("moduli_pde_gform", {"kappa": kappa, "gamma": gamma, "z": [z.real, z.imag],
-                                        "h": h, "scale": scale},
+                                        "h": _H, "scale": scale},
                    r1, r1 / scale < 1e-6)
 
 
@@ -388,18 +387,21 @@ def seed_systems(kappa, n_params=7):
 SUITES = ("algebra", "residuals", "seeds", "all")
 
 
-def run_all_checks(kappa, gamma=None, z=0.3 + 0.2j, h=DEFAULT_H, suite="all", seed=0):
+def run_all_checks(kappa, suite="all", seed=0):
     """The check battery at one kappa; returns report dicts.
 
     ``suite`` picks "algebra" (the A + B + C sum at 200 random (kappa, p,
     q, alpha) drawn from ``seed``, and the duality of beta), "residuals"
-    (the ODE and PDE residuals of the closed forms), "seeds" (the
-    separatrices re-derived from the coefficient system) or "all".
+    (the ODE and PDE residuals of the closed forms at z = 0.3 + 0.2j, and
+    z2 = 0.25 - 0.15j for the two-point PDE), "seeds" (the separatrices
+    re-derived from the coefficient system) or "all".  Duality and the
+    residuals are checked at the self-dual exponent gamma = 1/kappa + 1/4,
+    the fixed point of gamma -> 2/kappa + 1/2 - gamma.
     """
     if suite not in SUITES:
         raise ValueError(f"unknown check suite {suite!r}; expected one of {SUITES}")
-    if gamma is None:
-        gamma = 1 / kappa + 0.25
+    gamma = 1 / kappa + 0.25
+    z = 0.3 + 0.2j
     reports = []
     if suite in ("algebra", "all"):
         rng = np.random.default_rng(seed)
@@ -412,10 +414,10 @@ def run_all_checks(kappa, gamma=None, z=0.3 + 0.2j, h=DEFAULT_H, suite="all", se
         reports.append(_report("beta_duality", {"kappa": kappa, "gamma": gamma},
                                dual["residual"], dual["residual"] < 1e-12))
     if suite in ("residuals", "all"):
-        reports.append(ode_residual(kappa, gamma, z, h))
-        reports.append(pde_residual(kappa, gamma, z, 0.25 - 0.15j, h))
-        reports.append(moduli_residual(kappa, gamma, z, h))
-        reports.append(moduli_residual_gform(kappa, gamma, z, h))
+        reports.append(ode_residual(kappa, gamma, z))
+        reports.append(pde_residual(kappa, gamma, z, 0.25 - 0.15j))
+        reports.append(moduli_residual(kappa, gamma, z))
+        reports.append(moduli_residual_gform(kappa, gamma, z))
     if suite in ("seeds", "all"):
         reports.extend(seed_systems(kappa))
     return reports

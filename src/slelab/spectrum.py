@@ -336,7 +336,11 @@ def classify_mfold(p, q, kappa, m) -> SpectrumPoint:
 
     p and q may be arrays, as in ``classify``.
     """
-    pm, qm = mfold_map(m)(np.asarray(p, dtype=float), np.asarray(q, dtype=float))
+    pa, qa = np.asarray(p, dtype=float), np.asarray(q, dtype=float)
+    # before the map, whose 0 * p at m = 1 turns an infinite p into nan
+    _require_finite("p", pa)
+    _require_finite("q", qa)
+    pm, qm = mfold_map(m)(pa, qa)
     return replace(classify(pm, qm, kappa), p=p, q=q, m=m)
 
 

@@ -10,7 +10,7 @@ from scipy.optimize import brentq
 
 from slelab import residuals as rs
 from slelab import spectrum as sp
-from slelab.flow import SimConfig, sample_driver, sample_ensemble, whole_plane_sample
+from slelab.flow import SimConfig, evolve, sample_driver, sample_ensemble
 from slelab.moments import (
     circle_points,
     closed_moduli,
@@ -88,7 +88,7 @@ def test_criterion_2_complex_one_point(kappa2_ensemble):
 
 @pytest.mark.slow
 def test_criterion_3_log_coefficients(circle_ensemble):
-    stats = extract_log_coeffs(circle_ensemble, n_max=2, M=8)
+    stats = extract_log_coeffs(circle_ensemble, n_max=2)
     checks = []
     sq1, sq2 = log_coeff_sq_expectation(1), log_coeff_sq_expectation(2)
     checks.append(abs(stats.mean_sq[0] - sq1) <= 0.05 * sq1)
@@ -229,8 +229,7 @@ def test_criterion_8_mfold():
     checks = []
     cfg = SimConfig(kappa=2.0, horizon_T=3.0, dt=5e-3, seed=7)
     z0 = 0.4 + 0.2j
-    sample = whole_plane_sample(cfg, [z0, z0**2, z0**3],
-                                sample_driver(cfg, n_paths=25))
+    sample = evolve(sample_driver(cfg, n_paths=25), cfg, [z0, z0**2, z0**3])
     for m in (1, 2, 3):
         checks.append(mfold_identity_check(sample, m, z0, 2.0, 1.0) < 1e-10)
     for m in (-1, -2, -3):

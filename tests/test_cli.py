@@ -160,10 +160,28 @@ class TestExitCodes:
         (["simulate", "--n-samples", "-1", "--z", "0.5"], "n_samples must be >= 0"),
         (["log-coeffs", "--n-samples", "4", "--fft-size", "0"], "a circle needs M >= 1"),
         (["log-coeffs", "--n-samples", "4", "--radius", "0"], "a circle needs M >= 1"),
+        (["moments", "--n-samples", "4", "--workers", "0", "--z", "0.5"], "workers must be >= 1"),
+        (["moments", "--n-samples", "4", "--workers", "-3", "--z", "0.5"], "workers must be >= 1"),
     ])
     def test_bad_ensemble_or_circle_is_1(self, argv, message, tmp_path, capsys):
         out = tmp_path / "out.csv"
         assert run(argv + ["--T", "0.1", "--dt", "0.01", "--output", str(out)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {message}")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("n_max, message", [
+        ("0", "n_max must be >= 1, got 0"),
+        ("-1", "n_max must be >= 1, got -1"),
+        ("16", "aliasing guard: need n_max < M/2, got n_max=16, M=32"),
+    ])
+    def test_log_coeffs_sizes_checked_before_sampling(self, n_max, message, tmp_path, capsys,
+                                                      monkeypatch):
+        def no_sampling(*args, **kwargs):
+            raise AssertionError("the ensemble was drawn")
+
+        monkeypatch.setattr(flow, "sample_ensemble", no_sampling)
+        out = tmp_path / "out.csv"
+        assert run(["log-coeffs", "--n-max", n_max, "--output", str(out)]) == 1
         assert capsys.readouterr().err.startswith(f"error: {message}")
         assert not out.exists()
 
@@ -174,10 +192,14 @@ class TestExitCodes:
         (["spectrum", "--kappa", "6", "--m", "3", "--p=0", "--q=inf"], "q must be finite"),
         (["phase-diagram", "--kappa", "6", "--resolution", "4", "--curve-points", "4",
           "--q-max=inf"], "q must be finite"),
+        (["phase-diagram", "--kappa", "6", "--resolution", "4", "--curve-points", "4",
+          "--p-min=-inf"], "p must be finite"),
     ])
     def test_non_finite_exponents_are_1(self, argv, message, tmp_path, capsys):
+        # rejected before any arithmetic on them, so without a NumPy warning
         out = tmp_path / "out.csv"
-        with np.errstate(all="ignore"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             assert run(argv + ["--output", str(out)]) == 1
         assert capsys.readouterr().err.startswith(f"error: {message}")
         assert not out.exists()

@@ -16,7 +16,6 @@ from slelab.flow import (
     refine_driver,
     sample_driver,
     sample_ensemble,
-    whole_plane_sample,
 )
 
 
@@ -187,6 +186,20 @@ class TestEvolve:
         with pytest.raises(DomainError):
             evolve(path, SimConfig(**{**cfg.__dict__, "horizon_T": 2.0}), [0.1])
 
+    def test_long_driver_rejected(self):
+        # logf and logfp add cfg.horizon_T, so a driver past it would shift them
+        cfg = small_cfg(horizon_T=2.0)
+        path = constant_driver(cfg)
+        with pytest.raises(DomainError, match="not at cfg.horizon_T=1.0"):
+            evolve(path, SimConfig(**{**cfg.__dict__, "horizon_T": 1.0}), [0.1])
+
+    def test_rejected_step_names_its_time(self, monkeypatch):
+        # a negative slack makes the monotone check reject the first step
+        monkeypatch.setattr(flow, "_MONOTONE_SLACK", -1.0)
+        cfg = small_cfg()
+        with pytest.raises(flow.SingularityError, match=r"\|w\| failed to decrease at t=0\.0;"):
+            evolve(constant_driver(cfg), cfg, [0.5])
+
     def test_origin_is_exact(self):
         # at w = 0 the drift of both logs is exactly -1, so both equal -T
         cfg = small_cfg(horizon_T=2.0, dt=1e-2)
@@ -213,14 +226,18 @@ class TestEvolve:
         assert abs(states.logratio[0, 0] - lr_ref) < 1e-10
 
     def test_modulus_decreases(self):
+        # one driver, cut at each horizon
         cfg = small_cfg(kappa=6.0, horizon_T=0.5, dt=1e-3, seed=2)
+        path = sample_driver(cfg)
         pts = [0.5, 0.5j, -0.3 + 0.3j]
         prev = np.abs(np.asarray(pts))
         for frac in (0.25, 0.5, 1.0):
             c = SimConfig(**{**cfg.__dict__, "horizon_T": 0.5 * frac})
-            states = evolve(sample_driver(cfg), c, pts)
+            cut = flow.DrivingPath(times=path.times[:c.n_steps + 1],
+                                   theta=path.theta[:c.n_steps + 1])
+            states = evolve(cut, c, pts)
             cur = np.abs(states.w[0])
-            assert np.all(cur <= prev + 1e-9)
+            assert np.all(cur < prev)
             prev = cur
 
     def test_branch_consistency(self):
@@ -395,14 +412,14 @@ class TestSubsteps:
 class TestSamples:
     def test_whole_plane_logs(self):
         cfg = small_cfg(horizon_T=3.0, dt=5e-3)
-        s = whole_plane_sample(cfg, [0.2, 0.2j])
+        s = evolve(sample_driver(cfg), cfg, [0.2, 0.2j])
         assert s.logf.shape == (1, 2)
         # log f - log z should stay bounded (f(z)/z -> derivative-like value)
         assert np.all(np.abs(s.logf - np.log(np.array([0.2, 0.2j]))) < 10)
 
     def test_point_index(self):
         cfg = small_cfg()
-        s = whole_plane_sample(cfg, [0.2, 0.3])
+        s = evolve(sample_driver(cfg), cfg, [0.2, 0.3])
         assert s.point_index(0.3) == 1
         with pytest.raises(DomainError):
             s.point_index(0.4)
@@ -412,7 +429,7 @@ class TestSamples:
         # error is far below the tolerance
         cfg = small_cfg(horizon_T=12.0, dt=5e-3)
         z = 0.3 + 0.2j
-        s = whole_plane_sample(cfg, [z], path=constant_driver(cfg))
+        s = evolve(constant_driver(cfg), cfg, [z])
         f = np.exp(s.logf[0, 0])
         assert abs(f - z / (1 + z) ** 2) < 1e-4
         fp = np.exp(s.logfp[0, 0])
@@ -442,6 +459,11 @@ class TestSamples:
     def test_bad_ensemble_size_rejected(self, n_samples, per_stream):
         with pytest.raises(ConfigError):
             sample_ensemble(small_cfg(), [0.2], n_samples, paths_per_stream=per_stream)
+
+    @pytest.mark.parametrize("workers", [0, -3])
+    def test_bad_worker_count_rejected(self, workers):
+        with pytest.raises(ConfigError, match="workers must be >= 1"):
+            sample_ensemble(small_cfg(), [0.2], 5, workers=workers)
 
     def test_empty_ensemble(self):
         cfg = small_cfg()

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from slelab import flow, moments, spectrum
-from slelab.flow import DomainError, SimConfig, constant_driver, sample_ensemble, whole_plane_sample
+from slelab.flow import DomainError, SimConfig, constant_driver, evolve, sample_ensemble
 from slelab.moments import (
     circle_points,
     closed_moduli,
@@ -167,27 +167,34 @@ class TestLogCoeffs:
         with pytest.raises(DomainError):
             circle_points(r, M)
 
-    @pytest.mark.parametrize("points", [[], [0.0, 0.0]])
+    # too few points for n_max = 1, and a circle of radius 0
+    @pytest.mark.parametrize("points", [[], [0.0, 0.0], [0.0] * 8])
     def test_degenerate_circle_rejected(self, points):
         s = mc_sample(points, n=2, dt=2e-2, T=1.0)
         with pytest.raises(DomainError):
-            extract_log_coeffs(s, 0)
+            extract_log_coeffs(s, 1)
 
     def test_non_circle_rejected(self):
-        s = mc_sample([0.1, 0.2], n=2, dt=2e-2, T=1.0)
-        with pytest.raises(DomainError):
+        s = mc_sample([0.1, 0.2, 0.3, 0.4], n=2, dt=2e-2, T=1.0)
+        with pytest.raises(DomainError, match="uniform circle"):
             extract_log_coeffs(s, 1)
 
     def test_aliasing_guard(self):
         s = mc_sample(circle_points(0.5, 8), n=2, dt=2e-2, T=1.0)
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="aliasing guard"):
             extract_log_coeffs(s, 4)
+
+    @pytest.mark.parametrize("n_max", [0, -1])
+    def test_n_max_below_one_rejected(self, n_max):
+        s = mc_sample(circle_points(0.5, 8), n=2, dt=2e-2, T=1.0)
+        with pytest.raises(DomainError, match=f"n_max must be >= 1, got {n_max}"):
+            extract_log_coeffs(s, n_max)
 
     def test_koebe_oracle(self):
         # frozen driver: log(f(z)/z) = -2 log(1+z), so gamma_n = (-1)^n / n
         cfg = SimConfig(kappa=2.0, horizon_T=14.0, dt=5e-3, seed=0)
         pts = circle_points(0.5, 16)
-        s = whole_plane_sample(cfg, pts, path=constant_driver(cfg))
+        s = evolve(constant_driver(cfg), cfg, pts)
         stats = extract_log_coeffs(s, 4)
         expect = np.array([(-1.0) ** n / n for n in range(1, 5)])
         assert np.max(np.abs(stats.mean_gamma - expect)) < 1e-5
@@ -235,7 +242,7 @@ def interior_sample():
     cfg = SimConfig(kappa=2.0, horizon_T=3.0, dt=5e-3, seed=7)
     z0 = 0.4 + 0.2j
     pts = [z0, z0**2, z0**3]
-    return z0, whole_plane_sample(cfg, pts, flow.sample_driver(cfg, n_paths=25))
+    return z0, evolve(flow.sample_driver(cfg, n_paths=25), cfg, pts)
 
 
 class TestMfold:

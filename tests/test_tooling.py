@@ -8,6 +8,8 @@ import pathlib
 import subprocess
 import sys
 
+import pytest
+
 import slelab
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "slelab"
@@ -75,6 +77,21 @@ def test_cli_runs_without_scipy(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
     assert all((tmp_path / f"out{i}.csv").stat().st_size for i in range(len(_CLI_CALLS)))
+
+
+DEMOS = sorted((SRC.parents[1] / "demos").glob("*.py"))
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("demo", DEMOS, ids=lambda path: path.name)
+def test_demo_runs(demo, tmp_path):
+    # each demo in a fresh interpreter, as a user runs it; no other test
+    # calls the demos, so a changed library signature would break them unseen
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC.parent), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, str(demo)], capture_output=True, text=True,
+                          env=env, cwd=tmp_path, timeout=600)
+    assert proc.returncode == 0, proc.stderr
 
 
 _TRACER_SCRIPT = """
