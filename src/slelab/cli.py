@@ -192,9 +192,9 @@ def _cmd_simulate(args):
     if not zs:
         raise ConfigError("simulate requires at least one --z point")
     sample = _ensemble(args, zs)
-    n, k = sample.logf.shape
+    n = sample.n_samples
     lf, lfp = sample.logf.ravel(), sample.logfp.ravel()
-    rows = _Table(np.repeat(sample.stream_ids, k), np.tile(sample.z.real, n),
+    rows = _Table(sample.config.stream_id, np.tile(sample.z.real, n),
                   np.tile(sample.z.imag, n), lf.real, lf.imag, lfp.real, lfp.imag)
     with _open_output(args.output) as fh:
         fh.write("stream_id,z_re,z_im,logf_re,logf_im,logfp_re,logfp_im\r\n")

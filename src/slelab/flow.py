@@ -72,11 +72,12 @@ class DrivingPath:
     """Sampled driving angle theta(t) on a uniform grid; theta[..., 0] == 0.
 
     ``theta`` has shape (..., N+1); a leading axis indexes independent
-    Brownian paths.
+    Brownian paths, paths ``first``, ``first + 1``, ... of the ensemble.
     """
 
     times: np.ndarray
     theta: np.ndarray
+    first: int = 0
 
 
 def _rng(cfg: SimConfig, extra=()):
@@ -90,42 +91,23 @@ def _time_grid(cfg: SimConfig):
     return times
 
 
-# bytes of standard normals drawn at a time: drivers are built a block of
-# rows at a time straight into the array they return
-_BLOCK_BYTES = 1 << 18
-
-
-def _normal_blocks(rng, n_rows, n_cols):
-    """Standard normals of an (n_rows, n_cols) array, drawn in row-major order.
-
-    Yields (rows, block) a block of rows at a time; every block is the same
-    reused buffer of at most ``_BLOCK_BYTES`` (one row if a row is larger).
-    """
-    step = max(1, _BLOCK_BYTES // (8 * max(n_cols, 1)))
-    buf = np.empty((min(step, n_rows), n_cols))
-    for r0 in range(0, n_rows, step):
-        block = buf[:n_rows - r0]
-        rng.standard_normal(out=block)
-        yield slice(r0, r0 + len(block)), block
-
-
-def sample_driver(cfg: SimConfig, n_paths: int | None = None) -> DrivingPath:
+def sample_driver(cfg: SimConfig, n_paths: int | None = None, first: int = 0) -> DrivingPath:
     """Sample Brownian driving angles theta_k ~ sqrt(kappa) B_{t_k}.
 
-    Deterministic function of (seed, stream_id).  The normals are drawn in
-    row-major order, a block of rows at a time, and each block is scaled
-    and summed into ``theta``, so the driver is the one array of its size
-    that the call allocates.
+    Row k is path ``first + k``, drawn from its own generator keyed by
+    (seed, stream_id, first + k): a path is the same in any batch.  Each
+    row's normals are drawn, scaled and summed in place, so the driver is
+    the one array of its size that the call allocates.
     """
     times = _time_grid(cfg)
-    steps = np.diff(times)
-    scale = np.sqrt(cfg.kappa * steps)
+    scale = np.sqrt(cfg.kappa * np.diff(times))
     theta = np.empty((1 if n_paths is None else n_paths, len(times)))
     theta[:, 0] = 0.0
-    for rows, incr in _normal_blocks(_rng(cfg), len(theta), len(steps)):
-        incr *= scale
-        np.cumsum(incr, axis=1, out=theta[rows, 1:])
-    return DrivingPath(times=times, theta=theta[0] if n_paths is None else theta)
+    for k, row in enumerate(theta[:, 1:]):
+        _rng(cfg, (first + k,)).standard_normal(out=row)
+        row *= scale
+        np.cumsum(row, out=row)
+    return DrivingPath(times=times, theta=theta[0] if n_paths is None else theta, first=first)
 
 
 def constant_driver(cfg: SimConfig, value: float = 0.0) -> DrivingPath:
@@ -139,9 +121,9 @@ def refine_driver(path: DrivingPath, cfg: SimConfig) -> tuple[DrivingPath, SimCo
 
     Returns the refined path together with a config whose ``dt`` is halved,
     so the same underlying Brownian path can be integrated at finer
-    resolution.  The midpoints are written a block of rows at a time into
-    the odd columns of the refined array, from normals drawn in row-major
-    order.
+    resolution.  Each path's midpoints are drawn from a generator keyed by
+    the path and the number of driver steps, and written into the odd
+    columns of the refined array.
     """
     t = path.times
     th = np.atleast_2d(path.theta)
@@ -152,16 +134,17 @@ def refine_driver(path: DrivingPath, cfg: SimConfig) -> tuple[DrivingPath, SimCo
     new_t[1::2] = t[:-1] + dt / 2
     new_th = np.empty((th.shape[0], new_t.size))
     new_th[:, 0::2] = th
-    for rows, z in _normal_blocks(_rng(cfg, extra=(0xB51D6E,)), len(th), len(dt)):
+    z = np.empty(len(dt))
+    for k, (row, mid) in enumerate(zip(th, new_th[:, 1::2])):
+        _rng(cfg, (path.first + k, 0xB51D6E, len(dt))).standard_normal(out=z)
         z *= std
-        mid = new_th[rows, 1::2]
-        np.add(th[rows, :-1], th[rows, 1:], out=mid)
+        np.add(row[:-1], row[1:], out=mid)
         mid *= 0.5
         mid += z                              # 0.5 * (a + b) + z * std
     if path.theta.ndim == 1:
         new_th = new_th[0]
     return (
-        DrivingPath(times=new_t, theta=new_th),
+        DrivingPath(times=new_t, theta=new_th, first=path.first),
         replace(cfg, dt=cfg.dt / 2),
     )
 
@@ -173,10 +156,9 @@ class WholePlaneSample:
 
     Arrays have shape (n_samples, n_points): ``w`` is the flow image,
     ``logderiv`` the tracked branch of log of the spatial derivative,
-    ``logratio`` the tracked branch of log(w / z).  ``stream_ids`` has
-    length n_samples and records which substream produced each row.
-    ``substeps`` counts the RK4 sub-steps taken, summed over the batches:
-    ``n_steps`` per batch when no step was split.
+    ``logratio`` the tracked branch of log(w / z).  ``substeps`` counts
+    the RK4 sub-steps taken, summed over the batches: ``n_steps`` per batch
+    when no step was split.
     """
 
     z: np.ndarray
@@ -184,7 +166,6 @@ class WholePlaneSample:
     logderiv: np.ndarray
     logratio: np.ndarray
     config: SimConfig
-    stream_ids: np.ndarray
     substeps: int
 
     @cached_property
@@ -354,47 +335,41 @@ def evolve(path: DrivingPath, cfg: SimConfig, points) -> WholePlaneSample:
                 elapsed += h
                 lam0 = lam1
 
-    return WholePlaneSample(z=z0, w=w, logderiv=ld, logratio=lr, config=cfg,
-                            stream_ids=np.full(n_paths, cfg.stream_id), substeps=substeps)
+    return WholePlaneSample(z=z0, w=w, logderiv=ld, logratio=lr, config=cfg, substeps=substeps)
 
 
-def sample_ensemble(
-    cfg: SimConfig,
-    points,
-    n_samples: int,
-    paths_per_stream: int = 1000,
-    workers: int = 1,
-) -> WholePlaneSample:
+# paths per evolve call: its cost per path-point-step bottoms out near 1000
+# paths, and a batch's driver is then 64 MB at T = 8, dt = 1e-3
+_BATCH_PATHS = 1000
+
+
+def sample_ensemble(cfg: SimConfig, points, n_samples: int, workers: int = 1) -> WholePlaneSample:
     """Monte Carlo batch of whole-plane map samples.
 
-    Samples are split into substreams of ``paths_per_stream`` drivers each;
-    substream ``s`` is seeded from (seed, stream_id + s), so results are
-    deterministic and independent of ``workers``.  Aggregation order is
-    ascending stream id.
+    Row i is driven by path i of ``sample_driver``, keyed by (seed,
+    stream_id, i), so results are deterministic and independent of
+    ``workers`` and of how the paths are split into batches.
     """
     if n_samples < 0:
         raise ConfigError(f"n_samples must be >= 0, got {n_samples}")
-    if paths_per_stream < 1:
-        raise ConfigError(f"paths_per_stream must be >= 1, got {paths_per_stream}")
     if workers < 1:
         raise ConfigError(f"workers must be >= 1, got {workers}")
     if n_samples == 0:
         z0 = np.asarray(points, dtype=complex).reshape(-1)
         empty = np.zeros((0, z0.size), dtype=complex)
         return WholePlaneSample(z=z0, w=empty, logderiv=empty.copy(), logratio=empty.copy(),
-                                config=cfg, stream_ids=np.zeros(0, dtype=int), substeps=0)
-    n_streams = -(-n_samples // paths_per_stream)
+                                config=cfg, substeps=0)
 
-    def run(s):
-        count = min(paths_per_stream, n_samples - s * paths_per_stream)
-        scfg = replace(cfg, stream_id=cfg.stream_id + s)
-        return evolve(sample_driver(scfg, n_paths=count), scfg, points)
+    def run(first):
+        count = min(_BATCH_PATHS, n_samples - first)
+        return evolve(sample_driver(cfg, n_paths=count, first=first), cfg, points)
 
+    firsts = range(0, n_samples, _BATCH_PATHS)
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(run, range(n_streams)))
+            parts = list(pool.map(run, firsts))
     else:
-        parts = [run(s) for s in range(n_streams)]
+        parts = [run(first) for first in firsts]
 
     return WholePlaneSample(
         z=parts[0].z,
@@ -402,6 +377,5 @@ def sample_ensemble(
         logderiv=np.concatenate([p.logderiv for p in parts]),
         logratio=np.concatenate([p.logratio for p in parts]),
         config=cfg,
-        stream_ids=np.concatenate([p.stream_ids for p in parts]),
         substeps=sum(p.substeps for p in parts),
     )

@@ -170,8 +170,6 @@ def stationarity_diagnostic(cfg: SimConfig, z, T_list, N, p=2.0, q=2.0, workers=
     if any(b <= a for a, b in zip(T_list, T_list[1:])):
         raise DomainError("T_list must be strictly increasing")
     rows = []
-    if N == 0:
-        return rows
     for i, T in enumerate(T_list):
         tcfg = replace(cfg, horizon_T=float(T), stream_id=cfg.stream_id + 1000 * i)
         est = estimate_moduli(sample_ensemble(tcfg, [z], N, workers=workers), p, q, z)
@@ -188,10 +186,7 @@ class LogCoeffStats:
     stderr_gamma: np.ndarray  # rms standard error of mean_gamma
     stderr_sq: np.ndarray     # standard error of mean_sq
     stderr_cross: np.ndarray  # rms standard error of cross
-    radius: float
-    fft_size: int
     n_samples: int
-    noise_floor: np.ndarray   # r^{-2n} times machine-level per-sample noise
 
 
 def circle_points(r, M):
@@ -231,11 +226,10 @@ def extract_log_coeffs(sample: WholePlaneSample, n_max: int) -> LogCoeffStats:
     mean_gamma, stderr_gamma = _mean_and_stderr(gam[:, :n_max])
     mean_sq, stderr_sq = _mean_and_stderr(np.abs(gam[:, :n_max]) ** 2)
     cross, stderr_cross = _mean_and_stderr(gam[:, : n_max - 1] * np.conj(gam[:, 1:n_max]))
-    noise = np.finfo(float).eps * r ** (-2.0 * np.arange(1, n_max + 1))
     return LogCoeffStats(
         n_max=n_max, mean_gamma=mean_gamma, mean_sq=mean_sq, cross=cross,
         stderr_gamma=stderr_gamma, stderr_sq=stderr_sq.real, stderr_cross=stderr_cross,
-        radius=r, fft_size=M, n_samples=sample.n_samples, noise_floor=noise,
+        n_samples=sample.n_samples,
     )
 
 

@@ -40,19 +40,19 @@ def _verdict(num, label, ok, detail=""):
 def kappa2_ensemble():
     cfg = SimConfig(kappa=2.0, horizon_T=8.0, dt=1e-3, seed=0)
     pts = [0.5, 0.3, 0.3 + 0.3j]
-    return sample_ensemble(cfg, pts, N_MC, paths_per_stream=2000)
+    return sample_ensemble(cfg, pts, N_MC)
 
 
 @pytest.fixture(scope="module")
 def kappa6_ensemble():
     cfg = SimConfig(kappa=6.0, horizon_T=8.0, dt=1e-3, seed=0)
-    return sample_ensemble(cfg, [0.5], N_MC, paths_per_stream=2000)
+    return sample_ensemble(cfg, [0.5], N_MC)
 
 
 @pytest.fixture(scope="module")
 def circle_ensemble():
     cfg = SimConfig(kappa=2.0, horizon_T=8.0, dt=4e-3, seed=0)
-    return sample_ensemble(cfg, circle_points(0.6, 8), N_MC, paths_per_stream=2000)
+    return sample_ensemble(cfg, circle_points(0.6, 8), N_MC)
 
 
 @pytest.mark.slow

@@ -90,6 +90,7 @@ class TestDeterminism:
     (["moments", "--z", "0.5", "--kind", "moduli"], ("estimate_re",)),
     (["two-point"], ("estimate_re", "estimate_im")),
     (["log-coeffs"], ("mean_re", "mean_im", "mean_sq")),
+    (["diagnose", "--z", "0.5", "--T-list", "0.05", "--T-list", "0.1"], ("estimate",)),
 ])
 def test_empty_ensemble_writes_nan_without_warnings(argv, nan_columns, tmp_path):
     out = tmp_path / "out.csv"
@@ -162,6 +163,7 @@ class TestExitCodes:
         (["log-coeffs", "--n-samples", "4", "--radius", "0"], "a circle needs M >= 1"),
         (["moments", "--n-samples", "4", "--workers", "0", "--z", "0.5"], "workers must be >= 1"),
         (["moments", "--n-samples", "4", "--workers", "-3", "--z", "0.5"], "workers must be >= 1"),
+        (["diagnose", "--n-samples", "0", "--workers", "0", "--z", "0.5"], "workers must be >= 1"),
     ])
     def test_bad_ensemble_or_circle_is_1(self, argv, message, tmp_path, capsys):
         out = tmp_path / "out.csv"
@@ -360,7 +362,8 @@ class TestOtherCommands:
 
     def test_simulate_text_is_csv_writer_text(self, tmp_path, capsys):
         """simulate writes what csv.writer writes for the rows (stream_id, z,
-        log f, log f'), \\r\\n line ends included, to the file or stdout."""
+        log f, log f'), \\r\\n line ends included, to the file or stdout;
+        stream_id is the config's, on every row."""
         argv = ["simulate", "--kappa", "3", "--T", "0.3", "--dt", "0.1", "--seed", "4",
                 "--z", "0.3", "--z", "0", "--z=-0.1-0.0j", "--n-samples", "1003"]
         pts = [0.3, 0, complex(-0.1, -0.0)]
@@ -373,7 +376,7 @@ class TestOtherCommands:
         for i in range(sample.n_samples):
             for j, z in enumerate(sample.z):
                 lf, lfp = sample.logf[i, j], sample.logfp[i, j]
-                writer.writerow([int(sample.stream_ids[i])] + [
+                writer.writerow([cfg.stream_id] + [
                     repr(float(v)) for v in (z.real, z.imag, lf.real, lf.imag, lfp.real, lfp.imag)])
         expected = buf.getvalue().encode()
         assert b"\r\n" in expected and b"-inf" in expected and b"-0.0" in expected

@@ -19,31 +19,28 @@ from slelab.flow import (
 )
 
 
-def whole_driver(cfg, n_paths=None):
-    """The driver built whole: the increments, their cumsum and a zero column."""
-    times = flow._time_grid(cfg)
-    steps = np.diff(times)
-    shape = (len(steps),) if n_paths is None else (n_paths, len(steps))
-    incr = flow._rng(cfg).standard_normal(shape) * np.sqrt(cfg.kappa * steps)
-    return np.concatenate([np.zeros(shape[:-1] + (1,)), np.cumsum(incr, axis=-1)], axis=-1)
+def whole_driver(cfg, n_paths=None, first=0):
+    """The driver drawn path by path: path i's increments from
+    default_rng([seed, stream_id, i]), their cumsum and a zero column."""
+    steps = np.diff(flow._time_grid(cfg))
+    incr = [np.random.default_rng([cfg.seed, cfg.stream_id, i]).standard_normal(len(steps))
+            * np.sqrt(cfg.kappa * steps) for i in range(first, first + (n_paths or 1))]
+    theta = np.concatenate([np.zeros((len(incr), 1)), np.cumsum(incr, axis=1)], axis=1)
+    return theta[0] if n_paths is None else theta
 
 
 def whole_refinement(path, cfg):
-    """Brownian-bridge midpoints 0.5 (a + b) + z std of the whole driver at once."""
-    rng = flow._rng(cfg, extra=(0xB51D6E,))
+    """Brownian-bridge midpoints 0.5 (a + b) + z std, path i's normals z from
+    default_rng([seed, stream_id, i, 0xB51D6E, number of driver steps])."""
     th = np.atleast_2d(path.theta)
     dt = np.diff(path.times)
-    z = rng.standard_normal(th[:, 1:].shape)
-    mid = 0.5 * (th[:, :-1] + th[:, 1:]) + z * np.sqrt(cfg.kappa * dt / 4)
+    z = [np.random.default_rng([cfg.seed, cfg.stream_id, path.first + k, 0xB51D6E, len(dt)])
+         .standard_normal(len(dt)) for k in range(len(th))]
+    mid = 0.5 * (th[:, :-1] + th[:, 1:]) + np.multiply(z, np.sqrt(cfg.kappa * dt / 4))
     out = np.empty((th.shape[0], 2 * len(dt) + 1))
     out[:, 0::2] = th
     out[:, 1::2] = mid
     return out[0] if path.theta.ndim == 1 else out
-
-
-def block_rows(cfg):
-    """Rows of a driver that ``flow`` draws together."""
-    return flow._BLOCK_BYTES // (8 * cfg.n_steps)
 
 
 def same_bits(a, b):
@@ -128,20 +125,24 @@ class TestDriver:
     # the ragged grid (4 steps, the last 0.1 long) and a longer one
     @pytest.mark.parametrize("T, dt", [(1.0, 0.3), (2.0, 4e-3)])
     def test_blocks_match_whole_array_oracle(self, T, dt):
+        # batches of rows, from path 0 and from path 5, against the oracle
+        # that draws every path on its own
         cfg = small_cfg(kappa=6.0, horizon_T=T, dt=dt, seed=21, stream_id=4)
-        B = block_rows(cfg)
-        assert B > 1
-        for n in (None, 1, B - 1, B, B + 1, 2 * B + 3):
-            path = sample_driver(cfg, n_paths=n)
-            assert same_bits(path.theta, whole_driver(cfg, n))
-            assert same_bits(refine_driver(path, cfg)[0].theta, whole_refinement(path, cfg))
+        for n in (None, 1, 2, 7):
+            for first in (0, 5):
+                path = sample_driver(cfg, n_paths=n, first=first)
+                assert same_bits(path.theta, whole_driver(cfg, n, first))
+                assert same_bits(refine_driver(path, cfg)[0].theta, whole_refinement(path, cfg))
 
     def test_rows_do_not_depend_on_n_paths(self):
         cfg = small_cfg(kappa=6.0, horizon_T=2.0, dt=4e-3, seed=22)
-        B = block_rows(cfg)
-        full = sample_driver(cfg, n_paths=2 * B + 3).theta
-        for n in (1, B - 1, B, B + 1, 2 * B + 2):
-            assert same_bits(sample_driver(cfg, n_paths=n).theta, full[:n])
+        full = sample_driver(cfg, n_paths=12)
+        fine = refine_driver(full, cfg)[0].theta
+        for n, first in ((1, 0), (5, 0), (12, 0), (4, 5), (1, 11)):
+            part = sample_driver(cfg, n_paths=n, first=first)
+            assert same_bits(part.theta, full.theta[first:first + n])
+            assert same_bits(refine_driver(part, cfg)[0].theta, fine[first:first + n])
+        assert same_bits(sample_driver(cfg, first=7).theta, full.theta[7])
 
     def test_driver_is_the_only_large_array(self):
         cfg = small_cfg(kappa=6.0, horizon_T=8.0, dt=1e-3, seed=23)
@@ -265,17 +266,18 @@ class TestEvolve:
         assert errs[2] < errs[1] / 8
 
     def test_stochastic_refinement_reduces_distance(self):
-        # refining the same Brownian path halves the step; the gap between
-        # successive refinements should shrink markedly
+        # refining the same Brownian paths halves the step; the mean gap
+        # between successive refinements should shrink markedly (on a
+        # single path it grows about one time in five)
         cfg = small_cfg(kappa=2.0, horizon_T=1.0, dt=2e-2, seed=21)
-        path = sample_driver(cfg)
+        path = sample_driver(cfg, n_paths=200)
         pts = [0.4 + 0.1j]
-        w0 = evolve(path, cfg, pts).w[0, 0]
+        w0 = evolve(path, cfg, pts).w[:, 0]
         p1, c1 = refine_driver(path, cfg)
-        w1 = evolve(p1, c1, pts).w[0, 0]
+        w1 = evolve(p1, c1, pts).w[:, 0]
         p2, c2 = refine_driver(p1, c1)
-        w2 = evolve(p2, c2, pts).w[0, 0]
-        assert abs(w2 - w1) < abs(w1 - w0)
+        w2 = evolve(p2, c2, pts).w[:, 0]
+        assert np.mean(np.abs(w2 - w1)) < 0.75 * np.mean(np.abs(w1 - w0))
 
 
 def reference_evolve(path, cfg, points):
@@ -437,28 +439,46 @@ class TestSamples:
 
     def test_ensemble_deterministic(self):
         cfg = small_cfg(seed=3)
-        a = sample_ensemble(cfg, [0.2], 25, paths_per_stream=10)
-        b = sample_ensemble(cfg, [0.2], 25, paths_per_stream=10)
-        assert np.array_equal(a.logf, b.logf)
-        assert np.array_equal(a.stream_ids, b.stream_ids)
-
-    def test_ensemble_worker_invariance(self):
-        cfg = small_cfg(seed=3)
-        a = sample_ensemble(cfg, [0.2], 25, paths_per_stream=10, workers=1)
-        b = sample_ensemble(cfg, [0.2], 25, paths_per_stream=10, workers=4)
+        a = sample_ensemble(cfg, [0.2], 25)
+        b = sample_ensemble(cfg, [0.2], 25)
         assert np.array_equal(a.logf, b.logf)
         assert np.array_equal(a.logfp, b.logfp)
 
-    def test_ensemble_counts(self):
-        cfg = small_cfg()
-        s = sample_ensemble(cfg, [0.2], 25, paths_per_stream=10)
-        assert s.n_samples == 25
-        assert list(np.bincount(s.stream_ids)) == [10, 10, 5]
+    def test_ensemble_worker_invariance(self, monkeypatch):
+        monkeypatch.setattr(flow, "_BATCH_PATHS", 10)
+        cfg = small_cfg(seed=3)
+        a = sample_ensemble(cfg, [0.2], 25, workers=1)
+        b = sample_ensemble(cfg, [0.2], 25, workers=4)
+        assert np.array_equal(a.logf, b.logf)
+        assert np.array_equal(a.logfp, b.logfp)
 
-    @pytest.mark.parametrize("n_samples, per_stream", [(-1, 10), (5, 0), (5, -2)])
-    def test_bad_ensemble_size_rejected(self, n_samples, per_stream):
-        with pytest.raises(ConfigError):
-            sample_ensemble(small_cfg(), [0.2], n_samples, paths_per_stream=per_stream)
+    def test_ensemble_counts(self, monkeypatch):
+        # batches of 10, 10 and 5 paths, none of whose steps is split
+        monkeypatch.setattr(flow, "_BATCH_PATHS", 10)
+        cfg = small_cfg()
+        s = sample_ensemble(cfg, [0.2], 25)
+        assert s.n_samples == 25
+        assert s.substeps == 3 * cfg.n_steps
+
+    @pytest.mark.parametrize("batch", [1, 7, 1000])
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_path_does_not_depend_on_batching(self, monkeypatch, batch, workers):
+        # path i of the ensemble is path i of the per-path oracle, in any
+        # batch and under any worker count, at |z| <= 0.9
+        monkeypatch.setattr(flow, "_BATCH_PATHS", batch)
+        cfg = small_cfg(kappa=6.0, seed=30, stream_id=2)
+        pts = [0.5, 0.9j, -0.6 + 0.3j]
+        s = sample_ensemble(cfg, pts, 20, workers=workers)
+        assert s.n_samples == 20
+        for i in range(20):
+            alone = evolve(flow.DrivingPath(times=flow._time_grid(cfg),
+                                            theta=whole_driver(cfg, first=i)), cfg, pts)
+            for name in ("w", "logderiv", "logratio"):
+                assert same_bits(getattr(s, name)[i], getattr(alone, name)[0])
+
+    def test_bad_ensemble_size_rejected(self):
+        with pytest.raises(ConfigError, match="n_samples must be >= 0"):
+            sample_ensemble(small_cfg(), [0.2], -1)
 
     @pytest.mark.parametrize("workers", [0, -3])
     def test_bad_worker_count_rejected(self, workers):

@@ -46,6 +46,47 @@ def test_no_scipy_imports():
     assert not found, f"scipy imports in src/slelab: {found}"
 
 
+# NumPy's random API, Python's random module among it
+_RNG_NAMES = {"random", "default_rng", "Generator", "SeedSequence", "BitGenerator", "RandomState",
+              "MT19937", "PCG64", "PCG64DXSM", "Philox", "SFC64"}
+# the functions that may use it: flow._rng keys every Monte Carlo draw by
+# (seed, stream_id, path), and the check battery draws its algebra test points
+_RNG_HOMES = {("flow.py", "_rng"), ("residuals.py", "run_all_checks")}
+
+
+def _rng_uses(node, func=None):
+    """(enclosing function, line) of every name, attribute or import of ``_RNG_NAMES``."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield from _rng_uses(child, child.name)
+            continue
+        if isinstance(child, ast.Name):
+            names = {child.id}
+        elif isinstance(child, ast.Attribute):
+            names = {child.attr}
+        elif isinstance(child, (ast.Import, ast.ImportFrom)):
+            names = {part for alias in child.names for part in alias.name.split(".")}
+            names.update((getattr(child, "module", None) or "").split("."))
+        else:
+            names = set()
+        if names & _RNG_NAMES:
+            yield func, child.lineno
+        yield from _rng_uses(child, func)
+
+
+def test_random_draws_only_through_the_key():
+    # a generator made anywhere else could bypass the per-path key, and a
+    # sample would then depend on how the paths are batched
+    paths = sorted(SRC.glob("*.py"))
+    uses = {(path.name, func, line)
+            for path in paths
+            for func, line in _rng_uses(ast.parse(path.read_text(), filename=str(path)))}
+    assert {(name, func) for name, func, _ in uses} >= {("flow.py", "_rng")}
+    stray = sorted(f"{name}:{line} in {func}" for name, func, line in uses
+                   if (name, func) not in _RNG_HOMES)
+    assert not stray, f"random draws outside flow._rng: {stray}"
+
+
 _CLI_CALLS = [
     ["check", "--suite", "all", "--kappa", "6"],
     ["spectrum", "--kappa", "6", "--p", "0", "--q", "0"],
