@@ -53,10 +53,10 @@ class SimConfig:
     r_max: float = 0.9
 
     def __post_init__(self):
-        if not self.kappa > 0:
-            raise ConfigError(f"kappa must be > 0, got {self.kappa}")
-        if not self.horizon_T > 0:
-            raise ConfigError(f"horizon_T must be > 0, got {self.horizon_T}")
+        if not 0 < self.kappa < np.inf:
+            raise ConfigError(f"kappa must be finite and > 0, got {self.kappa}")
+        if not 0 < self.horizon_T < np.inf:
+            raise ConfigError(f"horizon_T must be finite and > 0, got {self.horizon_T}")
         if not 0 < self.dt <= self.horizon_T:
             raise ConfigError(f"dt must be in (0, horizon_T], got {self.dt}")
         if not 0 < self.r_max < 1:
@@ -91,23 +91,63 @@ def _time_grid(cfg: SimConfig):
     return times
 
 
+def _draw_chunks(cfg: SimConfig, n_paths: int, first: int, theta=None):
+    """Yield (c0, c1, cols): theta at steps c0 .. c1 of paths ``first``,
+    ``first + 1``, ..., one chunk of at most ``_CHUNK_STEPS`` steps at a time.
+
+    Path k's normals come from its own generator keyed by (seed, stream_id,
+    first + k), drawn chunk after chunk: the same stream as one draw.
+    Column 0 of a chunk carries the previous chunk's last theta, so the
+    in-place cumsum adds left to right as over the whole row.  The chunks
+    are views of ``theta`` (its column 0 set to zero) when it is given,
+    else of one buffer that each chunk overwrites.
+    """
+    scale = np.sqrt(cfg.kappa * np.diff(_time_grid(cfg)))
+    gens = [_rng(cfg, (first + k,)) for k in range(n_paths)]
+    buf = np.zeros((n_paths, _CHUNK_STEPS + 1)) if theta is None else None
+    for c0 in range(0, len(scale), _CHUNK_STEPS):
+        c1 = min(c0 + _CHUNK_STEPS, len(scale))
+        if theta is None:
+            buf[:, 0] = buf[:, -1]            # every chunk before the last is full
+            cols = buf[:, :c1 - c0 + 1]
+        else:
+            cols = theta[:, c0:c1 + 1]
+        for gen, row in zip(gens, cols):
+            gen.standard_normal(out=row[1:])
+        cols[:, 1:] *= scale[c0:c1]
+        np.cumsum(cols, axis=1, out=cols)
+        yield c0, c1, cols
+
+
 def sample_driver(cfg: SimConfig, n_paths: int | None = None, first: int = 0) -> DrivingPath:
     """Sample Brownian driving angles theta_k ~ sqrt(kappa) B_{t_k}.
 
     Row k is path ``first + k``, drawn from its own generator keyed by
-    (seed, stream_id, first + k): a path is the same in any batch.  Each
-    row's normals are drawn, scaled and summed in place, so the driver is
-    the one array of its size that the call allocates.
+    (seed, stream_id, first + k): a path is the same in any batch.  The
+    chunks are drawn, scaled and summed in the driver's own columns, so
+    the driver is the one array of its size that the call allocates.
     """
-    times = _time_grid(cfg)
-    scale = np.sqrt(cfg.kappa * np.diff(times))
-    theta = np.empty((1 if n_paths is None else n_paths, len(times)))
-    theta[:, 0] = 0.0
-    for k, row in enumerate(theta[:, 1:]):
-        _rng(cfg, (first + k,)).standard_normal(out=row)
-        row *= scale
-        np.cumsum(row, out=row)
-    return DrivingPath(times=times, theta=theta[0] if n_paths is None else theta, first=first)
+    theta = np.zeros((1 if n_paths is None else n_paths, cfg.n_steps + 1))
+    for _ in _draw_chunks(cfg, len(theta), first, theta):
+        pass
+    return DrivingPath(times=_time_grid(cfg), theta=theta[0] if n_paths is None else theta,
+                       first=first)
+
+
+@dataclass(frozen=True)
+class _DrawnTheta:
+    """The theta of paths ``first`` .. ``first + n_paths - 1``, drawn a chunk
+    at a time whenever ``evolve`` reads it: a driver never held whole.
+    ``shape`` and ``ndim`` are those of ``sample_driver``'s array."""
+
+    cfg: SimConfig
+    n_paths: int
+    first: int
+    ndim = 2
+
+    @property
+    def shape(self):
+        return (self.n_paths, self.cfg.n_steps + 1)
 
 
 def constant_driver(cfg: SimConfig, value: float = 0.0) -> DrivingPath:
@@ -201,6 +241,9 @@ _MONOTONE_SLACK = 1e-9
 # them holds (_BLOCK_STEPS + 1) * n_paths complex values, about 1 MB at
 # 1000 paths
 _BLOCK_STEPS = 64
+# driver steps drawn together; fewer per draw cost more generator calls, and
+# 1000 paths draw into a 4 MB buffer
+_CHUNK_STEPS = 8 * _BLOCK_STEPS
 
 
 def _unit(theta):
@@ -263,6 +306,21 @@ def _rk4_substep(w, ld, lr, lam0, lam_half, lam1, h):
     return k1, sq, a2
 
 
+def _blocks(theta, n_steps):
+    """Yield (b0, b1, thb): theta at steps b0 .. b1 of each block of
+    ``_BLOCK_STEPS`` steps, as a contiguous (b1 - b0 + 1, n_paths, 1) array.
+    An array driver gives slices of itself, a ``_DrawnTheta`` its chunks
+    as they are drawn."""
+    if isinstance(theta, _DrawnTheta):
+        chunks = _draw_chunks(theta.cfg, theta.n_paths, theta.first)
+    else:
+        chunks = [(0, n_steps, np.atleast_2d(theta))]
+    for c0, c1, cols in chunks:
+        for b0 in range(c0, c1, _BLOCK_STEPS):
+            b1 = min(b0 + _BLOCK_STEPS, c1)
+            yield b0, b1, np.ascontiguousarray(cols[:, b0 - c0:b1 - c0 + 1].T)[..., None]
+
+
 def evolve(path: DrivingPath, cfg: SimConfig, points) -> WholePlaneSample:
     """Integrate the conjugate reverse radial flow to t = horizon_T, where
     the driving path must end.
@@ -284,8 +342,7 @@ def evolve(path: DrivingPath, cfg: SimConfig, points) -> WholePlaneSample:
     if abs(t[-1] - cfg.horizon_T) > 1e-12:
         raise DomainError(f"driving path ends at t={float(t[-1])!r}, "
                           f"not at cfg.horizon_T={cfg.horizon_T!r}")
-    th = np.atleast_2d(path.theta)  # (n_paths, N+1)
-    n_paths = th.shape[0]
+    n_paths = 1 if np.ndim(path.theta) == 1 else np.shape(path.theta)[0]
 
     w = np.broadcast_to(z0, (n_paths, z0.size)).copy()
     ld = np.zeros_like(w)
@@ -299,10 +356,8 @@ def evolve(path: DrivingPath, cfg: SimConfig, points) -> WholePlaneSample:
     scan = 1.0 - np.max(np.abs(z0), initial=0.0) - n_steps * _MONOTONE_SLACK < delta
     substeps = 0
 
-    for b0 in range(0, n_steps, _BLOCK_STEPS):
-        b1 = min(b0 + _BLOCK_STEPS, n_steps)
+    for b0, b1, thb in _blocks(path.theta, n_steps):
         dt = np.diff(t[b0:b1 + 1])[:, None, None]
-        thb = np.ascontiguousarray(th[:, b0:b1 + 1].T)[..., None]  # (steps + 1, n_paths, 1)
         slope = (thb[1:] - thb[:-1]) / dt
         lam = _unit(thb)
         lam_mid = _unit(thb[:-1] + slope * (dt / 2))
@@ -313,7 +368,7 @@ def evolve(path: DrivingPath, cfg: SimConfig, points) -> WholePlaneSample:
             while elapsed < macro - 1e-15:
                 h = macro - elapsed
                 if scan:
-                    dmin = float(np.min(np.abs(w - lam0)))
+                    dmin = float(np.min(np.abs(w - lam0), initial=np.inf))
                     if dmin < _W_LAMBDA_FLOOR:
                         raise SingularityError("flow point collided with the driving "
                                                f"singularity at t={float(t0 + elapsed)!r}")
@@ -339,7 +394,7 @@ def evolve(path: DrivingPath, cfg: SimConfig, points) -> WholePlaneSample:
 
 
 # paths per evolve call: its cost per path-point-step bottoms out near 1000
-# paths, and a batch's driver is then 64 MB at T = 8, dt = 1e-3
+# paths
 _BATCH_PATHS = 1000
 
 
@@ -348,7 +403,9 @@ def sample_ensemble(cfg: SimConfig, points, n_samples: int, workers: int = 1) ->
 
     Row i is driven by path i of ``sample_driver``, keyed by (seed,
     stream_id, i), so results are deterministic and independent of
-    ``workers`` and of how the paths are split into batches.
+    ``workers`` and of how the paths are split into batches.  Each batch's
+    driver is drawn a chunk at a time inside ``evolve``, so memory does not
+    grow with the number of steps.
     """
     if n_samples < 0:
         raise ConfigError(f"n_samples must be >= 0, got {n_samples}")
@@ -362,7 +419,8 @@ def sample_ensemble(cfg: SimConfig, points, n_samples: int, workers: int = 1) ->
 
     def run(first):
         count = min(_BATCH_PATHS, n_samples - first)
-        return evolve(sample_driver(cfg, n_paths=count, first=first), cfg, points)
+        return evolve(DrivingPath(times=_time_grid(cfg), theta=_DrawnTheta(cfg, count, first),
+                                  first=first), cfg, points)
 
     firsts = range(0, n_samples, _BATCH_PATHS)
     if workers > 1:

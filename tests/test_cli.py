@@ -206,6 +206,19 @@ class TestExitCodes:
         assert capsys.readouterr().err.startswith(f"error: {message}")
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv", [
+        ["moments", "--z", "0.5", "--n-samples", "2", "--T", "inf"],
+        ["simulate", "--z", "0.5", "--n-samples", "2", "--T", "inf"],
+        ["diagnose", "--z", "0.5", "--n-samples", "2", "--T-list", "inf"],
+    ])
+    def test_non_finite_horizon_is_1(self, argv, tmp_path, capsys):
+        out = tmp_path / "out.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(argv + ["--output", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("error: horizon_T must be finite and > 0")
+        assert not out.exists()
+
     @pytest.mark.parametrize("n_r", ["0", "1", "2"])
     def test_means_scan_short_radius_grid_is_1(self, n_r, tmp_path, capsys):
         out = tmp_path / "out.csv"

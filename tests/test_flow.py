@@ -75,6 +75,8 @@ class TestConfig:
         dict(dt=0.0), dict(dt=2.0, horizon_T=1.0),
         dict(kappa=float("nan")), dict(r_max=float("nan")),
         dict(r_max=0.0), dict(r_max=1.0),
+        dict(kappa=float("inf")), dict(horizon_T=float("inf")),
+        dict(horizon_T=float("inf"), dt=float("inf")),
     ])
     def test_invalid_config_rejected(self, kw):
         with pytest.raises(ConfigError):
@@ -122,8 +124,9 @@ class TestDriver:
         assert np.array_equal(fine.theta[:, ::2], path.theta)
         assert np.allclose(fine.times[::2], path.times)
 
-    # the ragged grid (4 steps, the last 0.1 long) and a longer one
-    @pytest.mark.parametrize("T, dt", [(1.0, 0.3), (2.0, 4e-3)])
+    # the ragged grid (4 steps, the last 0.1 long), one chunk of 500 steps
+    # and three chunks, the last of 302 steps ending in a 5e-4 step
+    @pytest.mark.parametrize("T, dt", [(1.0, 0.3), (2.0, 4e-3), (1.3255, 1e-3)])
     def test_blocks_match_whole_array_oracle(self, T, dt):
         # batches of rows, from path 0 and from path 5, against the oracle
         # that draws every path on its own
@@ -149,6 +152,18 @@ class TestDriver:
         peak, path = traced_peak(sample_driver, cfg, 700)
         assert path.theta.shape == (700, 8001)
         assert peak <= 1.1 * path.theta.nbytes
+
+    def test_ensemble_memory_does_not_grow_with_the_horizon(self):
+        # each batch's driver is drawn a chunk at a time inside evolve; a
+        # whole 1000-path driver at T = 8 would be 64 MB
+        peaks = []
+        for T in (8.0, 2.0):
+            cfg = small_cfg(kappa=6.0, horizon_T=T, dt=1e-3, seed=25)
+            peak, sample = traced_peak(sample_ensemble, cfg, [0.5], 1000)
+            assert sample.n_samples == 1000
+            peaks.append(peak)
+        assert peaks[0] <= 16e6
+        assert abs(peaks[0] - peaks[1]) <= 1e6
 
     def test_refinement_is_the_only_large_array(self):
         cfg = small_cfg(kappa=6.0, horizon_T=8.0, dt=4e-3, seed=24)
@@ -374,10 +389,13 @@ class TestKernel:
         fp = np.exp(-2.0) * dK(v0) / dK(vT)
         assert np.max(np.abs(np.exp(states.logderiv[0]) / fp - 1)) < 1e-10
 
-    @pytest.mark.parametrize("T, dt", [(1.0, 0.3), (1.325, 0.01)])
-    def test_ragged_step_and_partial_block(self, T, dt):
+    @pytest.mark.parametrize("T, dt", [(1.0, 0.3), (1.325, 0.01), (0.512, 1e-3),
+                                       (1.3255, 1e-3), (8.0, 1e-3)])
+    def test_ragged_step_and_partial_block(self, monkeypatch, T, dt):
         # 4 steps, the last 0.1 long; 133 steps, two blocks of 64 and a
-        # third of 5, the last step 0.005 long
+        # third of 5, the last step 0.005 long; exactly one chunk of 512
+        # steps; 1326 steps, two chunks and a third of 302 steps, its last
+        # block of 46 and its last step 5e-4 long; 8000 steps, 16 chunks
         cfg = small_cfg(kappa=3.0, horizon_T=T, dt=dt, seed=13)
         path = sample_driver(cfg, n_paths=3)
         assert path.times[-1] == T
@@ -387,6 +405,13 @@ class TestKernel:
         for got, ref in zip((states.w, states.logderiv, states.logratio),
                             reference_evolve(path, cfg, pts)):
             assert np.max(np.abs(got - ref)) < 1e-12
+        # the ensemble draws the same drivers chunk by chunk, in batches of
+        # paths 0-1 and 2
+        monkeypatch.setattr(flow, "_BATCH_PATHS", 2)
+        streamed = sample_ensemble(cfg, pts, 3)
+        assert streamed.substeps == 2 * cfg.n_steps
+        for name in ("w", "logderiv", "logratio"):
+            assert same_bits(getattr(streamed, name), getattr(states, name))
 
 
 class TestSubsteps:
@@ -409,6 +434,13 @@ class TestSubsteps:
         assert states.substeps > cfg.n_steps
         assert states.substeps == len(calls)
         assert set(calls) == {16}
+
+    def test_empty_batch_near_the_circle(self):
+        # the batch-wide scan for the closest driving point has nothing to scan
+        cfg = small_cfg(kappa=6.0, horizon_T=0.1, dt=1e-3, r_max=0.99)
+        states = evolve(sample_driver(cfg, n_paths=0), cfg, [0.95])
+        assert states.w.shape == states.logderiv.shape == (0, 1)
+        assert states.substeps == cfg.n_steps
 
 
 class TestSamples:
