@@ -33,10 +33,8 @@ from .moments import (
     estimate_two_point,
     extract_log_coeffs,
     integral_means_scan,
-    log_coeff_cross_expectation,
-    log_coeff_sq_expectation,
+    log_coeff_moments,
     mfold_identity_check,
-    milin_expectation,
     parabola_gamma,
     parabola_gamma_from_pq,
     parabola_point,

@@ -255,13 +255,10 @@ def _cmd_log_coeffs(args):
     pts = moments.circle_points(args.radius, args.fft_size)
     moments._check_log_coeff_sizes(args.n_max, args.fft_size)
     stats = moments.extract_log_coeffs(_ensemble(args, pts), args.n_max)
-    rows = []
-    for i in range(args.n_max):
-        n = i + 1
-        theory = moments.log_coeff_sq_expectation(n) if args.kappa == 2.0 else float("nan")
-        rows.append((n, stats.mean_gamma[i].real, stats.mean_gamma[i].imag,
-                     stats.mean_sq[i], theory))
-    _emit(args, ("n", "mean_re", "mean_im", "mean_sq", "theory"), rows)
+    theory = np.diagonal(moments.log_coeff_moments(args.kappa, args.n_max)[1])
+    _emit(args, ("n", "mean_re", "mean_im", "mean_sq", "theory"),
+          _Table(np.arange(1, args.n_max + 1), stats.mean_gamma.real, stats.mean_gamma.imag,
+                 stats.mean_sq, theory))
     return 0
 
 

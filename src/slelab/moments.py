@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .flow import DomainError, SimConfig, WholePlaneSample, sample_ensemble
-from .spectrum import cartesian_residual, parabola_point
+from .spectrum import cartesian_residual, mfold_map, parabola_point
 
 __all__ = [
     "MomentEstimate",
@@ -32,9 +32,7 @@ __all__ = [
     "stationarity_diagnostic",
     "circle_points",
     "extract_log_coeffs",
-    "log_coeff_sq_expectation",
-    "log_coeff_cross_expectation",
-    "milin_expectation",
+    "log_coeff_moments",
     "mfold_identity_check",
     "integral_means_scan",
 ]
@@ -169,11 +167,13 @@ def stationarity_diagnostic(cfg: SimConfig, z, T_list, N, p=2.0, q=2.0, workers=
     T_list = list(T_list)
     if any(b <= a for a, b in zip(T_list, T_list[1:])):
         raise DomainError("T_list must be strictly increasing")
+    # every horizon is validated before the first ensemble is drawn
+    cfgs = [replace(cfg, horizon_T=float(T), stream_id=cfg.stream_id + 1000 * i)
+            for i, T in enumerate(T_list)]
     rows = []
-    for i, T in enumerate(T_list):
-        tcfg = replace(cfg, horizon_T=float(T), stream_id=cfg.stream_id + 1000 * i)
+    for tcfg in cfgs:
         est = estimate_moduli(sample_ensemble(tcfg, [z], N, workers=workers), p, q, z)
-        rows.append((float(T), est.value.real, est.stderr))
+        rows.append((tcfg.horizon_T, est.value.real, est.stderr))
     return rows
 
 
@@ -233,32 +233,38 @@ def extract_log_coeffs(sample: WholePlaneSample, n_max: int) -> LogCoeffStats:
     )
 
 
-def log_coeff_sq_expectation(n: int) -> float:
-    """E|gamma_n|^2 = 1/(2 n^2) for the kappa = 2 ensemble."""
-    if n < 1:
-        raise DomainError("n must be >= 1")
-    return 1.0 / (2.0 * n * n)
+def log_coeff_moments(kappa, n_max):
+    """E gamma_n and E gamma_n conj(gamma_m) for n, m = 1, ..., n_max at any kappa.
 
-
-def log_coeff_cross_expectation(n: int) -> float:
-    """E(gamma_n conj(gamma_{n+1})) = -1/(4 n (n+1)) for kappa = 2.
-
-    Follows by expanding E|z f'/f|^2 = (1-z)(1-zbar)/(1-z zbar) with
-    z f'/f = 1 + 2 sum n gamma_n z^n and matching the z^{n+1} zbar^n
-    coefficient: 4 n (n+1) E(gamma_{n+1} conj(gamma_n)) = -1.  (The same
-    matching on the diagonal gives E|gamma_n|^2 = 1/(2 n^2).)
+    The generator of the flow acts triangularly on monomials, so the
+    coefficients of E L(z) = sum c_n z^n and E L(z) conj(L(w)) = sum h_nm
+    z^n wbar^m, with L = log(f/z) = 2 sum gamma_n z^n, solve
+        c_N = -(2 + 2 sum_{n<N} n c_n) / (N + kappa N^2 / 2),
+        h_NM = (-2 (c_N + c_M) - 2 sum_{n<N} n h_nM - 2 sum_{m<M} m h_Nm)
+               / (N + M + kappa (N - M)^2 / 2)
+    (Duplantier, Nguyen, Nguyen & Zinsmeister).  Returns (mean, second)
+    with mean[n-1] = c_n / 2 and second[n-1, m-1] = h_nm / 4; at kappa = 2
+    these are -1/2, 0, 0, ... and E|gamma_n|^2 = 1/(2 n^2).  Only + - * /
+    touch kappa, so a Fraction kappa gives exact rationals and a float
+    kappa float64 arrays.
     """
-    if n < 1:
-        raise DomainError("n must be >= 1")
-    return -1.0 / (4.0 * n * (n + 1))
-
-
-def milin_expectation(n: int) -> float:
-    """Expected Milin functional for the kappa = 2 ensemble:
-    -((n+1)/2) * sum_{k=2}^{n+1} 1/k."""
-    if n < 1:
-        raise DomainError("n must be >= 1")
-    return -(n + 1) / 2.0 * sum(1.0 / k for k in range(2, n + 2))
+    if n_max < 1:
+        raise DomainError(f"n_max must be >= 1, got {n_max}")
+    c, s = [], 0
+    for N in range(1, n_max + 1):
+        c.append((-2 - 2 * s) / (N + kappa * N * N / 2))
+        s += N * c[-1]
+    h, col = [], [0] * n_max              # col[M-1] = sum_{n<N} n h_nM
+    for N in range(1, n_max + 1):
+        h.append([])
+        row = 0                           # sum_{m<M} m h_Nm
+        for M in range(1, n_max + 1):
+            v = ((-2 * (c[N - 1] + c[M - 1]) - 2 * col[M - 1] - 2 * row)
+                 / (N + M + kappa * (N - M) ** 2 / 2))
+            h[-1].append(v)
+            row += M * v
+            col[M - 1] += N * v
+    return np.array(c) / 2, np.array(h) / 4
 
 
 def mfold_identity_check(sample: WholePlaneSample, m: int, z, p, q) -> float:
@@ -270,15 +276,13 @@ def mfold_identity_check(sample: WholePlaneSample, m: int, z, p, q) -> float:
     convention f^[m](z) = 1 / f^[-m](1/z) applies, with |z| > 1.
     Both sides are evaluated from the tracked logs; returns max |LHS - RHS|.
     """
-    if m == 0:
-        raise DomainError("m must be a nonzero integer")
+    _, qm = mfold_map(m)(p, q)
     z = complex(z)
     zeta = z**m
     j = sample.point_index(zeta)
     relogf = sample.logf[:, j].real
     relogfp = sample.logfp[:, j].real
 
-    qm = p + (q - p) / m
     rhs = np.exp(p * relogfp - qm * (relogf - np.log(abs(zeta))))
 
     mm = abs(m)
@@ -316,6 +320,9 @@ def integral_means_scan(integrand, p, q, kappa, r_grid, angular_M=512) -> MeansS
     r_grid = np.asarray(r_grid, dtype=float)
     if np.any(np.diff(r_grid) <= 0) or np.any(r_grid <= 0) or np.any(r_grid >= 1):
         raise DomainError("r_grid must be increasing and inside (0, 1)")
+    if len(r_grid) < 3:
+        raise DomainError(f"the slope fit over the top half of r_grid needs at least 3 radii, "
+                          f"got {len(r_grid)}")
 
     if isinstance(integrand, str):
         if integrand != "closed":
@@ -329,9 +336,6 @@ def integral_means_scan(integrand, p, q, kappa, r_grid, angular_M=512) -> MeansS
             return closed_moduli(zz, kappa, gamma) / np.abs(zz) ** q
     else:
         func = integrand
-    if len(r_grid) < 3:
-        raise DomainError(f"the slope fit over the top half of r_grid needs at least 3 radii, "
-                          f"got {len(r_grid)}")
 
     def one_ring(r):
         # resolve the angular feature of width ~(1 - r) near theta = 0

@@ -324,42 +324,32 @@ def seed_systems(kappa, n_params=7):
     checks = []
     sp = _spec.special_points(kappa)
 
-    # red: p from C(p, g) = 0, q from A(p, q, g) = 0
-    worst = 0.0
-    for g in np.linspace(0.05, 1 / kappa + 0.6, n_params):
-        p = (2 + kappa / 2) * g - (kappa / 2) * g**2
-        q = p + g - (kappa / 2) * g**2
-        pe, qe = _spec.curve_eval("redParabola", kappa, g)
-        worst = max(worst, abs(p - pe), abs(q - qe),
-                    abs(_coeff_A(kappa, p, q, g)), abs(_coeff_C(kappa, p, g)))
-    checks.append(_report("seed_red", {"kappa": kappa}, worst, worst < 1e-10))
-
-    # green: C = 0 at the dual exponent g'' = 2/kappa + 1/2 - g'
-    worst = 0.0
-    for gp in np.linspace(0.25 + 1 / kappa, 1 + 2 / kappa, n_params):
-        gpp = 2 / kappa + 0.5 - gp
-        p = (2 + kappa / 2) * gpp - (kappa / 2) * gpp**2
-        q = p + gp - (kappa / 2) * gp**2
-        pe, qe = _spec.curve_eval("greenParabola", kappa, gp)
-        worst = max(worst, abs(p - pe), abs(q - qe),
-                    abs(_coeff_A(kappa, p, q, gp)), abs(_coeff_C(kappa, p, gpp)))
-    checks.append(_report("seed_green", {"kappa": kappa}, worst, worst < 1e-10))
-
-    # quartic: companion exponent from the compatibility relation, solved
-    # numerically and compared with the closed form of _quartic_gamma0
-    worst = 0.0
-    disc_min = np.inf
-    for g in np.linspace(1 + 2 / kappa, 1 + 2 / kappa + 3.0, n_params):
-        disc_min = min(disc_min, _spec._quartic_disc(kappa, g))
+    def quartic_companion(g):
+        # solved numerically and compared with the closed form; the closed
+        # form raises unless the discriminant is > 0
         g0_exact = _quartic_gamma0(kappa, g)
         g0 = _companion_gamma0(kappa, g, g0_exact - 0.1)
-        p = (2 + kappa / 2) * g0 - (kappa / 2) * g0**2
-        q = p + g - (kappa / 2) * g**2
-        pe, qe = _spec.curve_eval("blueQuartic", kappa, g)
-        worst = max(worst, abs(g0 - g0_exact), abs(p - pe), abs(q - qe),
-                    abs(_coeff_A(kappa, p, q, g)), abs(_coeff_C(kappa, p, g0)))
-    checks.append(_report("seed_quartic", {"kappa": kappa}, worst,
-                          worst < 1e-8 and disc_min > 0))
+        return g0, abs(g0 - g0_exact)
+
+    # (check, curve, parameter range, companion exponent and its error, tolerance)
+    systems = (
+        ("seed_red", "redParabola", (0.05, 1 / kappa + 0.6), lambda g: (g, 0.0), 1e-10),
+        ("seed_green", "greenParabola", (0.25 + 1 / kappa, 1 + 2 / kappa),
+         lambda g: (2 / kappa + 0.5 - g, 0.0), 1e-10),
+        ("seed_quartic", "blueQuartic", (1 + 2 / kappa, 1 + 2 / kappa + 3.0),
+         quartic_companion, 1e-8),
+    )
+    for check, curve, (lo, hi), companion, tol in systems:
+        worst = 0.0
+        for g in np.linspace(lo, hi, n_params):
+            # p from C(p, g_c) = 0 at the companion g_c, q from A(p, q, g) = 0
+            gc, gc_err = companion(g)
+            p = (2 + kappa / 2) * gc - (kappa / 2) * gc**2
+            q = p + g - (kappa / 2) * g**2
+            pe, qe = _spec.curve_eval(curve, kappa, g)
+            worst = max(worst, gc_err, abs(p - pe), abs(q - qe),
+                        abs(_coeff_A(kappa, p, q, g)), abs(_coeff_C(kappa, p, gc)))
+        checks.append(_report(check, {"kappa": kappa}, worst, worst < tol))
 
     # intersections: red/green tangency points and the quartic corner
     p0, q0 = sp.P0

@@ -18,8 +18,7 @@ from slelab.moments import (
     estimate_one_point,
     extract_log_coeffs,
     integral_means_scan,
-    log_coeff_cross_expectation,
-    log_coeff_sq_expectation,
+    log_coeff_moments,
     mfold_identity_check,
     parabola_point,
 )
@@ -90,14 +89,14 @@ def test_criterion_2_complex_one_point(kappa2_ensemble):
 def test_criterion_3_log_coefficients(circle_ensemble):
     stats = extract_log_coeffs(circle_ensemble, n_max=2)
     checks = []
-    sq1, sq2 = log_coeff_sq_expectation(1), log_coeff_sq_expectation(2)
+    # the recursion's kappa = 2 values: E gamma_1 = -1/2, E|gamma_n|^2 =
+    # 1/(2 n^2) and E gamma_n conj(gamma_{n+1}) = -1/(4 n (n+1)), -0.125 at n = 1
+    mean, second = log_coeff_moments(2.0, 2)
+    sq1, sq2 = second[0, 0], second[1, 1]
     checks.append(abs(stats.mean_sq[0] - sq1) <= 0.05 * sq1)
     checks.append(abs(stats.mean_sq[1] - sq2) <= 0.05 * sq2)
-    checks.append(abs(stats.mean_gamma[0] - (-0.5)) <= 3 * stats.stderr_gamma[0])
-    # the adjacent cross moment is -1/(4 n (n+1)) = -0.125 at n = 1; the
-    # coefficient matching behind this value is spelled out in
-    # log_coeff_cross_expectation's docstring
-    cross_target = log_coeff_cross_expectation(1)
+    checks.append(abs(stats.mean_gamma[0] - mean[0]) <= 3 * stats.stderr_gamma[0])
+    cross_target = float(second[0, 1])
     checks.append(abs(stats.cross[0] - cross_target) <= 3 * stats.stderr_cross[0])
     _verdict(
         3, "log-coefficient moments at kappa=2", all(checks),

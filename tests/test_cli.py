@@ -9,7 +9,7 @@ import warnings
 import numpy as np
 import pytest
 
-from slelab import cli, flow, residuals
+from slelab import cli, flow, moments, residuals
 
 
 def run(argv):
@@ -222,10 +222,13 @@ class TestExitCodes:
     @pytest.mark.parametrize("n_r", ["0", "1", "2"])
     def test_means_scan_short_radius_grid_is_1(self, n_r, tmp_path, capsys):
         out = tmp_path / "out.csv"
-        assert run(["means-scan", "--n-r", n_r, "--output", str(out)]) == 1
-        assert capsys.readouterr().err.startswith(
-            f"error: the slope fit over the top half of r_grid needs at least 3 radii, got {n_r}")
-        assert not out.exists()
+        # the default pair, and a tip-dominated one (gamma = -1 at kappa = 2)
+        for pair in [[], ["--p", "-4", "--q", "-6"]]:
+            assert run(["means-scan", *pair, "--n-r", n_r, "--output", str(out)]) == 1
+            assert capsys.readouterr().err.startswith(
+                f"error: the slope fit over the top half of r_grid needs at least 3 radii, "
+                f"got {n_r}")
+            assert not out.exists()
 
     @pytest.mark.parametrize("argv", [
         ["check", "--kappa", "0"],
@@ -411,6 +414,17 @@ class TestOtherCommands:
         assert cols == ["n", "mean_re", "mean_im", "mean_sq", "theory"]
         assert [int(r["n"]) for r in rows] == [1, 2, 3]
         assert float(rows[0]["theory"]) == 0.5
+
+    def test_log_coeffs_theory_at_kappa6(self, tmp_path):
+        # the theory column is the recursion's E|gamma_n|^2 at every kappa
+        out = tmp_path / "lc.csv"
+        assert run(["log-coeffs", "--kappa", "6", "--radius", "0.5", "--fft-size", "8",
+                    "--n-max", "3", "--n-samples", "4", "--dt", "0.05", "--T", "0.5",
+                    "--no-header", "--output", str(out)]) == 0
+        _, rows = read_table(out)
+        theory = [float(r["theory"]) for r in rows]
+        assert theory == np.diagonal(moments.log_coeff_moments(6.0, 3)[1]).tolist()
+        assert np.all(np.isfinite(theory)) and theory[0] == 0.25
 
     def test_means_scan(self, tmp_path):
         out = tmp_path / "ms.csv"

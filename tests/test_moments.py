@@ -1,12 +1,21 @@
 """Tests for closed-form moments, estimators, and log coefficients."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from slelab import flow, moments, spectrum
-from slelab.flow import DomainError, SimConfig, constant_driver, evolve, sample_ensemble
+from slelab.flow import (
+    ConfigError,
+    DomainError,
+    SimConfig,
+    constant_driver,
+    evolve,
+    sample_ensemble,
+)
 from slelab.moments import (
     circle_points,
     closed_moduli,
@@ -17,10 +26,8 @@ from slelab.moments import (
     estimate_two_point,
     extract_log_coeffs,
     integral_means_scan,
-    log_coeff_cross_expectation,
-    log_coeff_sq_expectation,
+    log_coeff_moments,
     mfold_identity_check,
-    milin_expectation,
     parabola_gamma,
     parabola_gamma_from_pq,
     parabola_point,
@@ -143,6 +150,15 @@ class TestEstimators:
         with pytest.raises(DomainError):
             moments.stationarity_diagnostic(cfg, 0.3, [1.0, 0.5], 8)
 
+    def test_stationarity_horizons_validated_before_sampling(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(moments, "sample_ensemble",
+                            lambda *a, **k: calls.append(a) or sample_ensemble(*a, **k))
+        cfg = SimConfig(kappa=2.0, horizon_T=1.0, dt=2e-2, seed=11)
+        with pytest.raises(ConfigError, match="horizon_T must be finite"):
+            moments.stationarity_diagnostic(cfg, 0.3, [0.5, np.inf], 8)
+        assert calls == []
+
     def test_stationarity_rows_are_moduli_estimates(self):
         cfg = SimConfig(kappa=2.0, horizon_T=1.0, dt=2e-2, seed=11, stream_id=4)
         rows = moments.stationarity_diagnostic(cfg, 0.3, [0.5, 1.0], 8, p=1.5, q=0.5)
@@ -210,30 +226,85 @@ class TestLogCoeffs:
         assert abs(stats.mean_gamma[1]) < 0.05
         assert abs(stats.cross[0] - (-0.125)) < 0.04
 
+    def test_kappa6_statistics_small_n(self):
+        # the recursion's kappa = 6 moments, each within 4 standard errors
+        cfg = SimConfig(kappa=6.0, horizon_T=6.0, dt=4e-3, seed=23)
+        s = sample_ensemble(cfg, circle_points(0.6, 16), 1500)
+        stats = extract_log_coeffs(s, 3)
+        mean, second = log_coeff_moments(6.0, 2)
+        pairs = [(stats.mean_gamma[0], stats.stderr_gamma[0], mean[0]),
+                 (stats.mean_gamma[1], stats.stderr_gamma[1], mean[1]),
+                 (stats.mean_sq[0], stats.stderr_sq[0], second[0, 0]),
+                 (stats.mean_sq[1], stats.stderr_sq[1], second[1, 1]),
+                 (stats.cross[0], stats.stderr_cross[0], second[0, 1])]
+        for value, stderr, target in pairs:
+            assert abs(value - target) < 4 * stderr
+
     def test_expectation_helpers(self):
-        assert log_coeff_sq_expectation(1) == 0.5
-        assert log_coeff_sq_expectation(2) == 0.125
-        assert log_coeff_cross_expectation(1) == -0.125
-        with pytest.raises(DomainError):
-            log_coeff_sq_expectation(0)
+        mean, second = log_coeff_moments(2.0, 2)
+        assert mean.tolist() == [-0.5, 0.0]
+        assert second.tolist() == [[0.5, -0.125], [-0.125, 0.125]]
+
+
+class TestLogCoeffMoments:
+    def test_kappa2_exact(self):
+        mean, second = log_coeff_moments(Fraction(2), 11)
+        for n in range(1, 11):
+            assert mean[n - 1] == (Fraction(-1, 2) if n == 1 else 0)
+            assert second[n - 1, n - 1] == Fraction(1, 2 * n * n)
+            assert second[n - 1, n] == Fraction(-1, 4 * n * (n + 1))
+
+    def test_kappa6_exact(self):
+        mean, second = log_coeff_moments(Fraction(6), 3)
+        assert mean.tolist() == [Fraction(-1, 4), Fraction(-1, 28), Fraction(-1, 84)]
+        assert second[0, 0] == Fraction(1, 4)
+        assert second[1, 1] == Fraction(3, 56)
+        assert second[0, 1] == Fraction(-1, 28)
+
+    @pytest.mark.parametrize("kappa", [Fraction(1, 2), Fraction(2), Fraction(6), Fraction(64)])
+    def test_second_moment_symmetric(self, kappa):
+        _, second = log_coeff_moments(kappa, 12)
+        assert (second == second.T).all()
+
+    @pytest.mark.parametrize("kappa", [Fraction(1, 2), Fraction(2), Fraction(6), Fraction(64)])
+    def test_float_matches_exact(self, kappa):
+        exact = log_coeff_moments(kappa, 20)
+        approx = log_coeff_moments(float(kappa), 20)
+        for e, a in zip(exact, approx):
+            assert a.dtype == np.float64
+            e = e.astype(float)
+            # relative where the exact value is nonzero; an exact zero (the
+            # off-band entries at kappa = 2) is held to the largest entry
+            scale = np.where(e != 0, np.abs(e), np.abs(e).max())
+            assert np.all(np.abs(a - e) <= 1e-13 * scale)
+
+    @pytest.mark.parametrize("n_max", [0, -1])
+    def test_n_max_below_one_rejected(self, n_max):
+        with pytest.raises(DomainError, match=f"n_max must be >= 1, got {n_max}"):
+            log_coeff_moments(2.0, n_max)
+
+
+def _milin(second, n):
+    """Expected Milin functional sum_{k<=n} (n - k + 1)(k E|gamma_k|^2 - 1/k)."""
+    return sum((n - k + 1) * (k * second[k - 1, k - 1] - Fraction(1, k))
+               for k in range(1, n + 1))
 
 
 class TestMilin:
+    second = log_coeff_moments(Fraction(2), 30)[1]
+
     def test_first_values(self):
-        assert abs(milin_expectation(1) - (-0.5)) < 1e-15
-        assert abs(milin_expectation(2) - (-1.25)) < 1e-15
+        assert _milin(self.second, 1) == Fraction(-1, 2)
+        assert _milin(self.second, 2) == Fraction(-5, 4)
 
     def test_matches_direct_double_sum(self):
-        # independent recomputation from E|gamma_k|^2 = 1/(2 k^2)
-        for n in (1, 2, 3, 7, 20):
-            direct = sum(
-                sum(k * log_coeff_sq_expectation(k) - 1.0 / k for k in range(1, m + 1))
-                for m in range(1, n + 1)
-            )
-            assert abs(milin_expectation(n) - direct) < 1e-12
+        # the kappa = 2 closed form -((n+1)/2) sum_{k=2}^{n+1} 1/k
+        for n in range(1, 11):
+            closed = -Fraction(n + 1, 2) * sum(Fraction(1, k) for k in range(2, n + 2))
+            assert _milin(self.second, n) == closed
 
     def test_monotone_decreasing(self):
-        vals = [milin_expectation(n) for n in range(1, 30)]
+        vals = [_milin(self.second, n) for n in range(1, 30)]
         assert all(b < a for a, b in zip(vals, vals[1:]))
 
 
@@ -278,19 +349,22 @@ class TestMeansScan:
 
     @pytest.mark.parametrize("r_grid", [[], [0.5], [0.5, 0.6]])
     def test_short_grid_rejected(self, r_grid):
-        # the slope is fitted over the top half of the grid
-        with pytest.raises(DomainError, match="at least 3 radii"):
-            integral_means_scan(lambda z: np.ones_like(z, dtype=float), 0.0, 0.0, 2.0, r_grid)
+        # the slope is fitted over the top half of the grid; the length is
+        # checked before a tip-dominated pair (gamma = -1) returns its scan
+        for integrand, p, q in [(lambda z: np.ones_like(z, dtype=float), 0.0, 0.0),
+                                ("closed", -4.0, -6.0)]:
+            with pytest.raises(DomainError, match="at least 3 radii"):
+                integral_means_scan(integrand, p, q, 2.0, r_grid)
 
     def test_off_parabola_rejected(self):
-        with pytest.raises(DomainError):
-            integral_means_scan("closed", 2.0, 1.0, 2.0, [0.5, 0.6])
+        with pytest.raises(DomainError, match="does not lie on the parabola"):
+            integral_means_scan("closed", 2.0, 1.0, 2.0, [0.5, 0.6, 0.7])
 
     def test_tip_dominated_flag(self):
         # strongly negative gamma: angular integral diverges, no slope fit
         kappa = 6.0
         p, q = parabola_point(kappa, -1.0)
-        scan = integral_means_scan("closed", p, q, kappa, [0.5, 0.6])
+        scan = integral_means_scan("closed", p, q, kappa, [0.5, 0.6, 0.7])
         assert scan.tip_dominated and scan.beta is None
 
     @pytest.mark.parametrize("kappa,gamma,target", [(6.0, 0.5, 0.75), (2.0, 1.0, 1.0)])
@@ -310,4 +384,4 @@ class TestMeansScan:
     @pytest.mark.parametrize("name", ["mc", "", "Closed"])
     def test_unknown_named_integrand_rejected(self, name):
         with pytest.raises(DomainError, match="unknown integrand"):
-            integral_means_scan(name, 1.75, 1.5, 6.0, [0.5, 0.9])
+            integral_means_scan(name, 1.75, 1.5, 6.0, [0.5, 0.7, 0.9])
