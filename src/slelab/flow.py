@@ -91,7 +91,7 @@ def _time_grid(cfg: SimConfig):
     return times
 
 
-def _draw_chunks(cfg: SimConfig, n_paths: int, first: int, theta=None):
+def _draw_chunks(cfg: SimConfig, n_paths: int, first: int):
     """Yield (c0, c1, cols): theta at steps c0 .. c1 of paths ``first``,
     ``first + 1``, ..., one chunk of at most ``_CHUNK_STEPS`` steps at a time.
 
@@ -99,19 +99,15 @@ def _draw_chunks(cfg: SimConfig, n_paths: int, first: int, theta=None):
     first + k), drawn chunk after chunk: the same stream as one draw.
     Column 0 of a chunk carries the previous chunk's last theta, so the
     in-place cumsum adds left to right as over the whole row.  The chunks
-    are views of ``theta`` (its column 0 set to zero) when it is given,
-    else of one buffer that each chunk overwrites.
+    are views of one buffer that each chunk overwrites.
     """
     scale = np.sqrt(cfg.kappa * np.diff(_time_grid(cfg)))
     gens = [_rng(cfg, (first + k,)) for k in range(n_paths)]
-    buf = np.zeros((n_paths, _CHUNK_STEPS + 1)) if theta is None else None
+    buf = np.zeros((n_paths, _CHUNK_STEPS + 1))
     for c0 in range(0, len(scale), _CHUNK_STEPS):
         c1 = min(c0 + _CHUNK_STEPS, len(scale))
-        if theta is None:
-            buf[:, 0] = buf[:, -1]            # every chunk before the last is full
-            cols = buf[:, :c1 - c0 + 1]
-        else:
-            cols = theta[:, c0:c1 + 1]
+        buf[:, 0] = buf[:, -1]                # every chunk before the last is full
+        cols = buf[:, :c1 - c0 + 1]
         for gen, row in zip(gens, cols):
             gen.standard_normal(out=row[1:])
         cols[:, 1:] *= scale[c0:c1]
@@ -123,13 +119,13 @@ def sample_driver(cfg: SimConfig, n_paths: int | None = None, first: int = 0) ->
     """Sample Brownian driving angles theta_k ~ sqrt(kappa) B_{t_k}.
 
     Row k is path ``first + k``, drawn from its own generator keyed by
-    (seed, stream_id, first + k): a path is the same in any batch.  The
-    chunks are drawn, scaled and summed in the driver's own columns, so
-    the driver is the one array of its size that the call allocates.
+    (seed, stream_id, first + k): a path is the same in any batch.  Each
+    chunk is copied into the driver as it is drawn, so the driver is the
+    one array of its size that the call allocates.
     """
     theta = np.zeros((1 if n_paths is None else n_paths, cfg.n_steps + 1))
-    for _ in _draw_chunks(cfg, len(theta), first, theta):
-        pass
+    for c0, c1, cols in _draw_chunks(cfg, len(theta), first):
+        theta[:, c0 + 1:c1 + 1] = cols[:, 1:]
     return DrivingPath(times=_time_grid(cfg), theta=theta[0] if n_paths is None else theta,
                        first=first)
 
@@ -197,8 +193,8 @@ class WholePlaneSample:
     Arrays have shape (n_samples, n_points): ``w`` is the flow image,
     ``logderiv`` the tracked branch of log of the spatial derivative,
     ``logratio`` the tracked branch of log(w / z).  ``substeps`` counts
-    the RK4 sub-steps taken, summed over the batches: ``n_steps`` per batch
-    when no step was split.
+    the RK4 calls, summed over the batches: ``n_steps`` per batch, plus one
+    per sub-step of the path·points split near the driving point.
     """
 
     z: np.ndarray
@@ -321,6 +317,39 @@ def _blocks(theta, n_steps):
             yield b0, b1, np.ascontiguousarray(cols[:, b0 - c0:b1 - c0 + 1].T)[..., None]
 
 
+def _split_near(rows, cols, state, out, th0, slope, lam0, lam1, macro, t0):
+    """Re-integrate the path·points (rows, cols) over one macro step from
+    ``state`` into ``out``, both (w, logderiv, logratio, |w|); return the
+    RK4 calls.  Each takes sub-steps of macro (d / delta)^2, d its own
+    |w - lam|, with the arithmetic it has alone, until its step is done."""
+    w, ld, lr, absw = (a[rows, cols] for a in state)
+    th0, slope, lam0, lam1 = (a[rows, 0] for a in (th0, slope, lam0, lam1))
+    elapsed = np.zeros(rows.size)
+    calls = 0
+    while rows.size:
+        d = np.abs(w - lam0)
+        if np.any(d < _W_LAMBDA_FLOOR):
+            raise SingularityError("flow point collided with the driving singularity "
+                                   f"at t={float(t0 + elapsed[np.argmin(d)])!r}")
+        h = np.minimum(macro * (d / _SINGULAR_DELTA) ** 2, macro - elapsed)
+        lam_half = _unit(th0 + slope * (elapsed + h / 2))
+        lam_end = np.where(elapsed + h >= macro - 1e-15, lam1, _unit(th0 + slope * (elapsed + h)))
+        w, ld, lr = _rk4_substep(w, ld, lr, lam0, lam_half, lam_end, h)
+        calls += 1
+        ok = np.abs(w) <= absw + _MONOTONE_SLACK
+        if not np.all(ok):
+            t = float(t0 + elapsed[np.argmin(ok)])
+            raise SingularityError(f"|w| failed to decrease at t={t!r}; integrator step rejected")
+        absw = np.abs(w)
+        for o, v in zip(out, (w, ld, lr, absw)):
+            o[rows, cols] = v                     # final once an entry's step is done
+        elapsed += h
+        todo = elapsed < macro - 1e-15
+        rows, cols, w, ld, lr, absw, elapsed, th0, slope, lam0, lam1 = (
+            a[todo] for a in (rows, cols, w, ld, lr, absw, elapsed, th0, slope, lam_end, lam1))
+    return calls
+
+
 def evolve(path: DrivingPath, cfg: SimConfig, points) -> WholePlaneSample:
     """Integrate the conjugate reverse radial flow to t = horizon_T, where
     the driving path must end.
@@ -330,9 +359,10 @@ def evolve(path: DrivingPath, cfg: SimConfig, points) -> WholePlaneSample:
     Brownian step; the log-derivative and log-ratio are integrated
     alongside so no complex logarithm is ever taken.
 
-    Each macro step is one RK4 step, unless the batch comes within
-    ``_SINGULAR_DELTA`` of the driving point: the step is then split into
-    sub-steps shrinking with the square of the batch-wide min |w - lam|.
+    Each macro step is one RK4 step of the batch; ``_split_near`` then
+    re-integrates the path·points that start it within ``_SINGULAR_DELTA``
+    of their driving point, so each gives the same bits alone and in any
+    batch.
     """
     z0 = np.asarray(points, dtype=complex).reshape(-1)
     if np.any(np.abs(z0) > cfg.r_max + 1e-12):
@@ -348,12 +378,11 @@ def evolve(path: DrivingPath, cfg: SimConfig, points) -> WholePlaneSample:
     ld = np.zeros_like(w)
     lr = np.zeros_like(w)
     absw = np.abs(w)
-    delta = _SINGULAR_DELTA
     n_steps = len(t) - 1
     # The monotone check below keeps |w| <= max|z0| + n_steps * slack, and
     # |w - lam| >= 1 - |w|: when that stays >= delta no step can be split,
-    # and the batch-wide distance to the driving point need not be scanned.
-    scan = 1.0 - np.max(np.abs(z0), initial=0.0) - n_steps * _MONOTONE_SLACK < delta
+    # and the distances to the driving point need not be computed.
+    scan = 1.0 - np.max(np.abs(z0), initial=0.0) - n_steps * _MONOTONE_SLACK < _SINGULAR_DELTA
     substeps = 0
 
     for b0, b1, thb in _blocks(path.theta, n_steps):
@@ -362,33 +391,20 @@ def evolve(path: DrivingPath, cfg: SimConfig, points) -> WholePlaneSample:
         lam = _unit(thb)
         lam_mid = _unit(thb[:-1] + slope * (dt / 2))
         for j, macro in enumerate(dt.ravel().tolist()):
-            t0 = t[b0 + j]
-            lam0 = lam[j]
-            elapsed = 0.0
-            while elapsed < macro - 1e-15:
-                h = macro - elapsed
-                if scan:
-                    dmin = float(np.min(np.abs(w - lam0), initial=np.inf))
-                    if dmin < _W_LAMBDA_FLOOR:
-                        raise SingularityError("flow point collided with the driving "
-                                               f"singularity at t={float(t0 + elapsed)!r}")
-                    if dmin < delta:
-                        h = min(macro * (dmin / delta) ** 2, h)
-                last = elapsed + h >= macro - 1e-15
-                if h == macro:
-                    lam_half, lam1 = lam_mid[j], lam[j + 1]
-                else:
-                    lam_half = _unit(thb[j] + slope[j] * (elapsed + h / 2))
-                    lam1 = lam[j + 1] if last else _unit(thb[j] + slope[j] * (elapsed + h))
-                w, ld, lr = _rk4_substep(w, ld, lr, lam0, lam_half, lam1, h)
-                substeps += 1
-                absw_new = np.abs(w)
-                if not np.all(absw_new <= absw + _MONOTONE_SLACK):
-                    raise SingularityError(f"|w| failed to decrease at t={float(t0 + elapsed)!r}; "
-                                           "integrator step rejected")
-                absw = absw_new
-                elapsed += h
-                lam0 = lam1
+            state = w, ld, lr, absw
+            w, ld, lr = _rk4_substep(w, ld, lr, lam[j], lam_mid[j], lam[j + 1], macro)
+            substeps += 1
+            absw = np.abs(w)
+            ok = absw <= state[3] + _MONOTONE_SLACK
+            if scan:
+                rows, cols = np.nonzero(np.abs(state[0] - lam[j]) < _SINGULAR_DELTA)
+                ok[rows, cols] = True             # checked sub-step by sub-step
+            if not np.all(ok):
+                raise SingularityError(f"|w| failed to decrease at t={float(t[b0 + j])!r}; "
+                                       "integrator step rejected")
+            if scan and rows.size:
+                substeps += _split_near(rows, cols, state, (w, ld, lr, absw), thb[j], slope[j],
+                                        lam[j], lam[j + 1], macro, t[b0 + j])
 
     return WholePlaneSample(z=z0, w=w, logderiv=ld, logratio=lr, config=cfg, substeps=substeps)
 
@@ -422,18 +438,9 @@ def sample_ensemble(cfg: SimConfig, points, n_samples: int, workers: int = 1) ->
         return evolve(DrivingPath(times=_time_grid(cfg), theta=_DrawnTheta(cfg, count, first),
                                   first=first), cfg, points)
 
-    firsts = range(0, n_samples, _BATCH_PATHS)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(run, firsts))
-    else:
-        parts = [run(first) for first in firsts]
-
-    return WholePlaneSample(
-        z=parts[0].z,
-        w=np.concatenate([p.w for p in parts]),
-        logderiv=np.concatenate([p.logderiv for p in parts]),
-        logratio=np.concatenate([p.logratio for p in parts]),
-        config=cfg,
-        substeps=sum(p.substeps for p in parts),
-    )
+    with ThreadPoolExecutor(max_workers=workers) as pool:  # one worker: no thread, less memory
+        parts = list((pool.map if workers > 1 else map)(run, range(0, n_samples, _BATCH_PATHS)))
+    w, ld, lr = (np.concatenate([getattr(p, name) for p in parts])
+                 for name in ("w", "logderiv", "logratio"))
+    return WholePlaneSample(z=parts[0].z, w=w, logderiv=ld, logratio=lr, config=cfg,
+                            substeps=sum(p.substeps for p in parts))

@@ -179,7 +179,6 @@ def stationarity_diagnostic(cfg: SimConfig, z, T_list, N, p=2.0, q=2.0, workers=
 
 @dataclass(frozen=True)
 class LogCoeffStats:
-    n_max: int
     mean_gamma: np.ndarray    # E gamma_n, n = 1..n_max
     mean_sq: np.ndarray       # E |gamma_n|^2
     cross: np.ndarray         # E gamma_n conj(gamma_{n+1}), n = 1..n_max-1
@@ -226,11 +225,9 @@ def extract_log_coeffs(sample: WholePlaneSample, n_max: int) -> LogCoeffStats:
     mean_gamma, stderr_gamma = _mean_and_stderr(gam[:, :n_max])
     mean_sq, stderr_sq = _mean_and_stderr(np.abs(gam[:, :n_max]) ** 2)
     cross, stderr_cross = _mean_and_stderr(gam[:, : n_max - 1] * np.conj(gam[:, 1:n_max]))
-    return LogCoeffStats(
-        n_max=n_max, mean_gamma=mean_gamma, mean_sq=mean_sq, cross=cross,
-        stderr_gamma=stderr_gamma, stderr_sq=stderr_sq.real, stderr_cross=stderr_cross,
-        n_samples=sample.n_samples,
-    )
+    return LogCoeffStats(mean_gamma=mean_gamma, mean_sq=mean_sq, cross=cross,
+                         stderr_gamma=stderr_gamma, stderr_sq=stderr_sq.real,
+                         stderr_cross=stderr_cross, n_samples=sample.n_samples)
 
 
 def log_coeff_moments(kappa, n_max):
@@ -239,21 +236,23 @@ def log_coeff_moments(kappa, n_max):
     The generator of the flow acts triangularly on monomials, so the
     coefficients of E L(z) = sum c_n z^n and E L(z) conj(L(w)) = sum h_nm
     z^n wbar^m, with L = log(f/z) = 2 sum gamma_n z^n, solve
-        c_N = -(2 + 2 sum_{n<N} n c_n) / (N + kappa N^2 / 2),
+        c_N = -2 r_{N-1} / (N + kappa N^2 / 2),
+        r_N = 1 + sum_{n<=N} n c_n = prod_{k<=N} (kappa k/2 - 1) / (kappa k/2 + 1),
         h_NM = (-2 (c_N + c_M) - 2 sum_{n<N} n h_nM - 2 sum_{m<M} m h_Nm)
                / (N + M + kappa (N - M)^2 / 2)
     (Duplantier, Nguyen, Nguyen & Zinsmeister).  Returns (mean, second)
     with mean[n-1] = c_n / 2 and second[n-1, m-1] = h_nm / 4; at kappa = 2
-    these are -1/2, 0, 0, ... and E|gamma_n|^2 = 1/(2 n^2).  Only + - * /
-    touch kappa, so a Fraction kappa gives exact rationals and a float
-    kappa float64 arrays.
+    these are -1/2, 0, 0, ... and E|gamma_n|^2 = 1/(2 n^2).  The product
+    form of r subtracts nothing, so small c_n keep their digits.  Only
+    + - * / touch kappa, so a Fraction kappa gives exact rationals and a
+    float kappa float64 arrays.
     """
     if n_max < 1:
         raise DomainError(f"n_max must be >= 1, got {n_max}")
-    c, s = [], 0
+    c, r = [], 1
     for N in range(1, n_max + 1):
-        c.append((-2 - 2 * s) / (N + kappa * N * N / 2))
-        s += N * c[-1]
+        c.append((0 - 2 * r) / (N + kappa * N * N / 2))   # an exact zero stays +0.0
+        r *= (kappa * N / 2 - 1) / (kappa * N / 2 + 1)
     h, col = [], [0] * n_max              # col[M-1] = sum_{n<N} n h_nM
     for N in range(1, n_max + 1):
         h.append([])

@@ -10,7 +10,7 @@ hyperbola, and the conjectured universal-spectrum partition.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -247,12 +247,8 @@ def lower_boundary_q(p, kappa):
 
 @dataclass(frozen=True)
 class SpectrumPoint:
-    p: float
-    q: float
-    kappa: float
     region: str
     beta: float
-    m: int = 1
     boundary: bool = False
     regions: tuple = ()    # adjacent regions when on a separatrix
 
@@ -299,10 +295,8 @@ def classify(p, q, kappa) -> SpectrumPoint:
     regions = np.stack([np.where(boundary, region, ""), across], axis=-1)
 
     if region.ndim:
-        return SpectrumPoint(p, q, kappa, region=region, beta=beta,
-                             boundary=boundary, regions=regions)
-    return SpectrumPoint(p, q, kappa, region=str(region), beta=float(beta),
-                         boundary=bool(boundary),
+        return SpectrumPoint(region=region, beta=beta, boundary=boundary, regions=regions)
+    return SpectrumPoint(region=str(region), beta=float(beta), boundary=bool(boundary),
                          regions=tuple(map(str, regions)) if boundary else ())
 
 
@@ -341,7 +335,7 @@ def classify_mfold(p, q, kappa, m) -> SpectrumPoint:
     _require_finite("p", pa)
     _require_finite("q", qa)
     pm, qm = mfold_map(m)(pa, qa)
-    return replace(classify(pm, qm, kappa), p=p, q=q, m=m)
+    return classify(pm, qm, kappa)
 
 
 # ---------------------------------------------------------------------------

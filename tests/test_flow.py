@@ -1,5 +1,6 @@
 """Tests for the reverse radial flow integrator."""
 
+import threading
 import tracemalloc
 
 import numpy as np
@@ -421,6 +422,9 @@ class TestSubsteps:
         assert states.substeps == cfg.n_steps
 
     def test_steps_split_near_the_circle(self, monkeypatch):
+        # every step is one RK4 call on the whole batch; the path·points
+        # near their driving point, never those at |z| = 0.5, are then
+        # re-integrated as a smaller subset
         calls = []
         original = flow._rk4_substep
 
@@ -430,17 +434,89 @@ class TestSubsteps:
 
         monkeypatch.setattr(flow, "_rk4_substep", counting)
         cfg = small_cfg(kappa=6.0, horizon_T=0.5, dt=1e-3, r_max=0.99)
-        states = evolve(sample_driver(cfg, n_paths=16), cfg, [0.97])
+        states = evolve(sample_driver(cfg, n_paths=16), cfg, [0.97, 0.5])
         assert states.substeps > cfg.n_steps
         assert states.substeps == len(calls)
-        assert set(calls) == {16}
+        split = [n for n in calls if n != 32]
+        assert len(calls) - len(split) == cfg.n_steps
+        assert split and max(split) <= 16
 
     def test_empty_batch_near_the_circle(self):
-        # the batch-wide scan for the closest driving point has nothing to scan
+        # no path·point of an empty batch comes near its driving point
         cfg = small_cfg(kappa=6.0, horizon_T=0.1, dt=1e-3, r_max=0.99)
         states = evolve(sample_driver(cfg, n_paths=0), cfg, [0.95])
         assert states.w.shape == states.logderiv.shape == (0, 1)
         assert states.substeps == cfg.n_steps
+
+    def test_collision_names_its_time(self, monkeypatch):
+        # a floor above 1 - |z| makes the first sub-step a collision
+        monkeypatch.setattr(flow, "_W_LAMBDA_FLOOR", 0.05)
+        cfg = small_cfg(r_max=0.99)
+        with pytest.raises(flow.SingularityError, match=r"driving singularity at t=0\.0$"):
+            evolve(constant_driver(cfg), cfg, [0.3, 0.97])
+
+
+def probe_driver(kappa, n_paths, T=2.0, dt=1e-3):
+    """Driver angles with increments from default_rng(20150421), row after
+    row: the first rows of the 64-path batch of perfbench's near-circle
+    probe."""
+    n = round(T / dt)
+    times = dt * np.arange(n + 1)
+    times[-1] = T
+    incr = (np.random.default_rng(20150421).standard_normal((n_paths, n))
+            * np.sqrt(kappa * np.diff(times)))
+    theta = np.concatenate([np.zeros((n_paths, 1)), np.cumsum(incr, axis=1)], axis=1)
+    return flow.DrivingPath(times=times, theta=theta)
+
+
+def states_of(s):
+    return np.stack([s.w, s.logderiv, s.logratio])
+
+
+NEAR_POINTS = [0.97, 0.95j, 0.9, 0.97 * np.exp(0.3j)]
+
+
+class TestNearCircleBatchInvariance:
+    """Near the unit circle each path·point takes its own sub-steps, so its
+    bits do not depend on the batch it is evolved in."""
+
+    # the first case is perfbench's near-circle probe batch with two more points
+    @pytest.mark.parametrize("kappa, T, n_paths, points, checked", [
+        (6.0, 2.0, 64, NEAR_POINTS, (0, 1, 63)),
+        (2.0, 1.0, 64, NEAR_POINTS[:2], (0, 5)),
+        (6.0, 0.5, 7, [0.95, -0.97j, 0.9], range(7)),
+        (2.0, 0.5, 7, [0.97], range(7)),
+        (6.0, 0.5, 1, NEAR_POINTS[::-1], (0,)),
+        (2.0, 0.5, 1, [-0.9, 0.95], (0,)),
+    ])
+    def test_alone_equals_batch(self, kappa, T, n_paths, points, checked):
+        path = probe_driver(kappa, n_paths, T)
+        cfg = SimConfig(kappa=kappa, horizon_T=T, dt=1e-3, r_max=0.99)
+        batch = states_of(evolve(path, cfg, points))
+        for i in checked:
+            for j, z in enumerate(points):
+                alone = evolve(flow.DrivingPath(times=path.times, theta=path.theta[i]), cfg, [z])
+                assert same_bits(states_of(alone)[:, 0, 0], batch[:, i, j].copy())
+
+    @pytest.mark.parametrize("kappa", [2.0, 6.0])
+    def test_adding_a_path_or_a_point_changes_no_other(self, kappa):
+        path = probe_driver(kappa, 8, T=1.0)
+        cfg = SimConfig(kappa=kappa, horizon_T=1.0, dt=1e-3, r_max=0.99)
+        points = [0.95j, 0.9, 0.97 * np.exp(0.3j)]
+        base = states_of(evolve(flow.DrivingPath(times=path.times, theta=path.theta[1:]),
+                                cfg, points))
+        more_paths = states_of(evolve(path, cfg, points))
+        more_points = states_of(evolve(flow.DrivingPath(times=path.times, theta=path.theta[1:]),
+                                       cfg, [0.97] + points))
+        assert same_bits(more_paths[:, 1:].copy(), base)
+        assert same_bits(more_points[:, :, 1:].copy(), base)
+
+    def test_ensemble_near_the_circle_does_not_depend_on_batching(self, monkeypatch):
+        cfg = small_cfg(kappa=6.0, horizon_T=0.5, dt=1e-3, r_max=0.99, seed=4)
+        whole = states_of(sample_ensemble(cfg, [0.97, -0.95j], 12))
+        monkeypatch.setattr(flow, "_BATCH_PATHS", 5)
+        batched = states_of(sample_ensemble(cfg, [0.97, -0.95j], 12, workers=2))
+        assert same_bits(batched, whole)
 
 
 class TestSamples:
@@ -511,6 +587,22 @@ class TestSamples:
     def test_bad_ensemble_size_rejected(self):
         with pytest.raises(ConfigError, match="n_samples must be >= 0"):
             sample_ensemble(small_cfg(), [0.2], -1)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_one_worker_runs_in_the_calling_thread(self, monkeypatch, workers):
+        # a pool thread costs peak memory that one worker does not need
+        caller = threading.current_thread()
+        in_caller = set()
+        original = flow.evolve
+
+        def recording(*args):
+            in_caller.add(threading.current_thread() is caller)
+            return original(*args)
+
+        monkeypatch.setattr(flow, "evolve", recording)
+        monkeypatch.setattr(flow, "_BATCH_PATHS", 2)
+        sample_ensemble(small_cfg(horizon_T=0.1), [0.2], 5, workers=workers)
+        assert in_caller == {workers == 1}
 
     @pytest.mark.parametrize("workers", [0, -3])
     def test_bad_worker_count_rejected(self, workers):

@@ -278,6 +278,19 @@ class TestLogCoeffMoments:
             scale = np.where(e != 0, np.abs(e), np.abs(e).max())
             assert np.all(np.abs(a - e) <= 1e-13 * scale)
 
+    @pytest.mark.parametrize("kappa", [Fraction(1, 8), Fraction(3, 10), Fraction(7, 10),
+                                       Fraction(6)])
+    def test_float_mean_keeps_its_digits_at_small_kappa(self, kappa):
+        # a running sum of n c_n would cancel in 1 + sum n c_n, which is
+        # small at small kappa and exactly 0 from n = 16 at kappa = 1/8
+        exact = log_coeff_moments(kappa, 40)[0]
+        approx = log_coeff_moments(float(kappa), 40)[0]
+        zero = exact == 0
+        assert zero[16:].all() == (kappa == Fraction(1, 8))
+        assert (approx[zero] == 0).all()
+        e = exact[~zero].astype(float)
+        assert np.all(np.abs(approx[~zero] - e) <= 1e-13 * np.abs(e))
+
     @pytest.mark.parametrize("n_max", [0, -1])
     def test_n_max_below_one_rejected(self, n_max):
         with pytest.raises(DomainError, match=f"n_max must be >= 1, got {n_max}"):

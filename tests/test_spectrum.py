@@ -270,7 +270,7 @@ class TestClassifyArrays:
 
     def test_scalar_result_types(self):
         res = sp.classify(1.0, 1.0, 6.0)
-        assert res == sp.SpectrumPoint(1.0, 1.0, 6.0, region="II", beta=res.beta)
+        assert res == sp.SpectrumPoint(region="II", beta=res.beta)
         assert type(res.region) is str and type(res.beta) is float
 
 
