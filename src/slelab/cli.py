@@ -48,7 +48,8 @@ def _fmt(value):
 
 
 class _Table:
-    """Rows held column by column, for ``_emit``.
+    """Rows for ``_emit``, which asks ``block(start, stop)`` for the columns
+    of rows start..stop-1, a block of rows at a time.
 
     Each column is an array or list with one entry per row, or a scalar
     that every row repeats.  ``len()`` is the number of rows.
@@ -61,11 +62,26 @@ class _Table:
     def __len__(self):
         return self.n_rows
 
+    def block(self, start, stop):
+        return [c if np.isscalar(c) else c[start:stop] for c in self.columns]
 
-def _column_text(column, start, stop, enc=None):
-    """Entries start..stop-1 of one column as ``_fmt`` writes them, passed
-    through ``enc`` when given: one text for a scalar column, else a
-    sequence of texts.
+
+class _Grid(_Table):
+    """Every pair (a[i], b[j]), a varying slowest, as rows whose columns
+    ``columns_of(a_values, b_values)`` computes one block of pairs at a time."""
+
+    def __init__(self, a, b, columns_of):
+        self.a, self.b, self.columns_of, self.n_rows = a, b, columns_of, len(a) * len(b)
+
+    def block(self, start, stop):
+        i = np.arange(start, stop)
+        return self.columns_of(self.a[i // len(self.b)], self.b[i % len(self.b)])
+
+
+def _column_text(column, enc=None):
+    """The entries of one column as ``_fmt`` writes them, passed through
+    ``enc`` when given: one text for a scalar column, else a sequence of
+    texts.
 
     Array columns of numbers, bools or strings are formatted once per
     distinct value, told apart by bit pattern so that -0.0 and 0.0 (or two
@@ -74,7 +90,6 @@ def _column_text(column, start, stop, enc=None):
     if np.isscalar(column):
         text = _fmt(column)
         return enc(text) if enc else text
-    column = column[start:stop]
     kind = column.dtype.kind if isinstance(column, np.ndarray) else None
     if kind == "U":
         distinct, inverse = np.unique(column, return_inverse=True)
@@ -91,24 +106,24 @@ def _column_text(column, start, stop, enc=None):
     return texts if inverse is None else np.array(texts, dtype=object)[inverse]
 
 
-_BLOCK_ROWS = 1 << 14   # rows formatted at a time, bounding the text held in memory
+_BLOCK_ROWS = 1 << 12   # rows computed and formatted at a time, bounding the memory held
 
 
 def _text_blocks(rows, sep, end, last, enc=None):
     """The text of every row, a block of rows at a time: each cell as
     ``_column_text`` writes it, ``sep`` between cells, ``end`` after each
     row and ``last`` after the table's last row."""
-    cols = rows.columns if isinstance(rows, _Table) else list(zip(*rows))
     n = len(rows)
     for start in range(0, n, _BLOCK_ROWS):
         stop = min(start + _BLOCK_ROWS, n)
+        cols = rows.block(start, stop) if isinstance(rows, _Table) else list(zip(*rows[start:stop]))
         cells = np.empty((stop - start, 2 * len(cols)), dtype=object)
         cells[:, 1::2] = sep
         cells[:, -1] = end
         if stop == n:
             cells[-1, -1] = last
         for j, column in enumerate(cols):
-            cells[:, 2 * j] = _column_text(column, start, stop, enc)
+            cells[:, 2 * j] = _column_text(column, enc)
         yield "".join(cells.ravel().tolist())
 
 
@@ -146,7 +161,8 @@ def _open_output(path):
 def _emit(args, columns, rows, suffix=""):
     """Write a table as CSV or JSON to the output path (or stdout).
 
-    ``rows`` is a sequence of row tuples or a ``_Table``.
+    ``rows`` is a sequence of row tuples or a ``_Table``, whose blocks are
+    computed while the file is open: a handler checks its inputs first.
     """
     out = args.output
     if out and suffix:
@@ -219,22 +235,21 @@ def _closed_or_nan(kind, z, z2, kappa, p, q):
     return complex(moments.closed_two_point(z, np.conj(z2), kappa, g))
 
 
+def _moment_row(args, kind, est, z, z2=None):
+    """A row of _MOMENT_COLS: the estimate at z and the closed form beside it."""
+    closed = _closed_or_nan(kind, z, z2, args.kappa, args.p, args.q)
+    return (z.real, z.imag, args.p, args.q, args.kappa, est.value.real, est.value.imag,
+            est.stderr, est.n_samples, closed.real, closed.imag)
+
+
 def _cmd_moments(args):
     zs = [_parse_complex(s) for s in args.z]
     if not zs:
         raise ConfigError("moments requires at least one --z point")
     sample = _ensemble(args, zs)
-    rows = []
-    for z in zs:
-        if args.kind == "moduli":
-            est = moments.estimate_moduli(sample, args.p, args.q, z)
-        else:
-            est = moments.estimate_one_point(sample, args.p, args.q, z)
-        closed = _closed_or_nan(args.kind, z, None, args.kappa, args.p, args.q)
-        rows.append((z.real, z.imag, args.p, args.q, args.kappa,
-                     complex(est.value).real, complex(est.value).imag,
-                     est.stderr, est.n_samples, closed.real, closed.imag))
-    _emit(args, _MOMENT_COLS, rows)
+    estimate = moments.estimate_moduli if args.kind == "moduli" else moments.estimate_one_point
+    _emit(args, _MOMENT_COLS, [_moment_row(args, args.kind, estimate(sample, args.p, args.q, z), z)
+                               for z in zs])
     return 0
 
 
@@ -243,11 +258,7 @@ def _cmd_two_point(args):
     z2 = _parse_complex(args.z2)
     sample = _ensemble(args, [z1, z2] if z1 != z2 else [z1])
     est = moments.estimate_two_point(sample, args.p, args.q, z1, z2)
-    closed = _closed_or_nan("two-point", z1, z2, args.kappa, args.p, args.q)
-    rows = [(z1.real, z1.imag, args.p, args.q, args.kappa,
-             complex(est.value).real, complex(est.value).imag,
-             est.stderr, est.n_samples, closed.real, closed.imag)]
-    _emit(args, _MOMENT_COLS, rows)
+    _emit(args, _MOMENT_COLS, [_moment_row(args, "two-point", est, z1, z2)])
     return 0
 
 
@@ -268,12 +279,16 @@ def _cmd_means_scan(args):
                                        args.kappa, r_grid,
                                        angular_M=args.angular_m)
     beta = scan.beta if scan.beta is not None else float("nan")
-    rows = [(r, I, beta) for r, I in zip(scan.r_grid, scan.integrals)]
-    _emit(args, ("r", "integral", "beta"), rows)
+    _emit(args, ("r", "integral", "beta"), _Table(scan.r_grid, scan.integrals, beta))
     return 0
 
 
 _SPEC_COLS = ("p", "q", "kappa", "m", "region", "beta")
+
+
+def _spec_columns(args, p, q):
+    res = spectrum.classify_mfold(p, q, args.kappa, args.m)
+    return p, q, args.kappa, args.m, res.region, res.beta
 
 
 def _cmd_spectrum(args):
@@ -281,9 +296,7 @@ def _cmd_spectrum(args):
     qs = args.q if isinstance(args.q, list) else [args.q]
     if not ps or len(ps) != len(qs):
         raise ConfigError("spectrum needs matching --p/--q lists")
-    res = spectrum.classify_mfold(np.asarray(ps, dtype=float), np.asarray(qs, dtype=float),
-                                  args.kappa, args.m)
-    _emit(args, _SPEC_COLS, _Table(ps, qs, args.kappa, args.m, res.region, res.beta))
+    _emit(args, _SPEC_COLS, _Table(*_spec_columns(args, ps, qs)))
     return 0
 
 
@@ -303,12 +316,8 @@ def _curve_params(kappa, n):
             "D1": line_p, "Delta1": line_p}
 
 
-def _grid(a, b):
-    """Every pair of entries of a and b, a varying slowest, as two flat arrays."""
-    return [c.ravel() for c in np.meshgrid(a, b, indexing="ij")]
-
-
 def _cmd_phase_diagram(args):
+    Tinv = spectrum.mfold_map_inv(args.m)   # rejects m = 0 before any output
     sp = spectrum.special_points(args.kappa)
     p_lo = args.p_min if args.p_min is not None else sp.p0prime - 6
     p_hi = args.p_max if args.p_max is not None else sp.p0 + 6
@@ -316,34 +325,31 @@ def _cmd_phase_diagram(args):
     q_hi = args.q_max if args.q_max is not None else sp.P0[1] + 6
     spectrum._require_finite("p", np.array([p_lo, p_hi], dtype=float))
     spectrum._require_finite("q", np.array([q_lo, q_hi], dtype=float))
-    n = args.resolution
-    p, q = _grid(np.linspace(p_lo, p_hi, n), np.linspace(q_lo, q_hi, n))
-    res = spectrum.classify_mfold(p, q, args.kappa, args.m)
-    _emit(args, _SPEC_COLS, _Table(p, q, args.kappa, args.m, res.region, res.beta))
+    _emit(args, _SPEC_COLS, _Grid(np.linspace(p_lo, p_hi, args.resolution),
+                                  np.linspace(q_lo, q_hi, args.resolution),
+                                  lambda p, q: _spec_columns(args, p, q)))
 
-    Tinv = spectrum.mfold_map_inv(args.m)
-    names, params, cps, cqs = [], [], [], []
+    curves = []
     for cid, t in _curve_params(args.kappa, args.curve_points).items():
         cp, cq = Tinv(*spectrum.curve_eval(cid, args.kappa, t))
-        names.append(np.full(t.shape, cid))
-        params.append(t)
-        cps.append(np.broadcast_to(cp, t.shape))
-        cqs.append(cq)
+        curves.append((np.full(t.shape, cid), t, np.broadcast_to(cp, t.shape), cq))
     _emit(args, ("curve", "param", "p", "q"),
-          _Table(*map(np.concatenate, (names, params, cps, cqs))), suffix="curves")
+          _Table(*map(np.concatenate, zip(*curves))), suffix="curves")
     return 0
 
 
 def _cmd_xy_geometry(args):
     k = args.kappa
-    x, y = _grid(np.linspace(0.01, 4 + k, args.resolution),
-                 np.linspace(0.01, k / 2 + 2, args.resolution))
-    p, q = spectrum.xy_inverse(x, y, k)
-    b1, b0, btip, blin = spectrum.xy_spectra(x, y, k)
+
+    def columns_of(x, y):
+        b1, b0, btip, blin = spectrum.xy_spectra(x, y, k)
+        return (*spectrum.xy_inverse(x, y, k), k, x, y, btip, b0, blin, b1,
+                spectrum.quartic_hyperbola_residual(x, y, k))
+
     _emit(args, ("p", "q", "kappa", "x", "y", "beta_tip", "beta_0",
                  "beta_lin", "beta_1", "hyperbola_residual"),
-          _Table(p, q, k, x, y, btip, b0, blin, b1,
-                spectrum.quartic_hyperbola_residual(x, y, k)))
+          _Grid(np.linspace(0.01, 4 + k, args.resolution),
+                np.linspace(0.01, k / 2 + 2, args.resolution), columns_of))
     return 0
 
 
@@ -514,6 +520,9 @@ def main(argv=None):
         if hasattr(args, "kappa") and not (
                 isinstance(args.kappa, (int, float)) and 0 < args.kappa < math.inf):
             raise ConfigError(f"kappa must be finite and > 0, got {args.kappa!r}")
+        for name in ("resolution", "curve_points"):   # checked before any output is opened
+            if not (isinstance(n := getattr(args, name, 0), int) and n >= 0):
+                raise ConfigError(f"{name.replace('_', '-')} must be an integer >= 0, got {n!r}")
         return args.func(args)
     except (ConfigError, DomainError, FileNotFoundError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -299,6 +299,9 @@ def mfold_identity_check(sample: WholePlaneSample, m: int, z, p, q) -> float:
     return float(np.max(np.abs(lhs - rhs)))
 
 
+_RING_CHUNK = 1 << 13   # points of a ring evaluated at a time by integral_means_scan
+
+
 @dataclass(frozen=True)
 class MeansScan:
     r_grid: np.ndarray
@@ -311,10 +314,10 @@ def integral_means_scan(integrand, p, q, kappa, r_grid, angular_M=512) -> MeansS
     """Angular integrals of a moment integrand over circles, with a slope fit.
 
     ``integrand`` is either the string ``"closed"`` (usable when (p, q)
-    lies on the integrability parabola) or a callable z -> E-values.
-    The growth exponent beta is fitted by least squares of log(integral)
-    against -log(1 - r^2) over the top half of ``r_grid``, so the fit needs
-    at least 3 radii.
+    lies on the integrability parabola) or an elementwise callable z ->
+    E-values, called on chunks of each ring's points.  The growth exponent
+    beta is fitted by least squares of log(integral) against -log(1 - r^2)
+    over the top half of ``r_grid``, so the fit needs at least 3 radii.
     """
     r_grid = np.asarray(r_grid, dtype=float)
     if np.any(np.diff(r_grid) <= 0) or np.any(r_grid <= 0) or np.any(r_grid >= 1):
@@ -339,8 +342,11 @@ def integral_means_scan(integrand, p, q, kappa, r_grid, angular_M=512) -> MeansS
     def one_ring(r):
         # resolve the angular feature of width ~(1 - r) near theta = 0
         M = max(angular_M, int(16.0 / (1.0 - r)))
-        ring = np.exp(2j * np.pi * np.arange(M) / M)
-        return r * np.sum(func(r * ring).real) * (2 * np.pi / M)
+        values = np.empty(M)   # filled a chunk at a time, summed once as a whole
+        for lo in range(0, M, _RING_CHUNK):
+            ring = np.exp(2j * np.pi * np.arange(lo, min(lo + _RING_CHUNK, M)) / M)
+            values[lo:lo + len(ring)] = func(r * ring).real
+        return r * np.sum(values) * (2 * np.pi / M)
 
     integrals = np.array([one_ring(r) for r in r_grid])
     top = slice(len(r_grid) // 2, None)

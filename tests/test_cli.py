@@ -4,12 +4,13 @@ import argparse
 import csv
 import io
 import json
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
-from slelab import cli, flow, moments, residuals
+from slelab import cli, flow, moments, residuals, spectrum
 
 
 def run(argv):
@@ -170,6 +171,37 @@ class TestExitCodes:
         assert run(argv + ["--T", "0.1", "--dt", "0.01", "--output", str(out)]) == 1
         assert capsys.readouterr().err.startswith(f"error: {message}")
         assert not out.exists()
+
+    @pytest.mark.parametrize("argv, message", [
+        (["phase-diagram", "--resolution", "3", "--curve-points", "-1"],
+         "curve-points must be an integer >= 0, got -1"),
+        (["phase-diagram", "--resolution", "-1"], "resolution must be an integer >= 0, got -1"),
+        (["xy-geometry", "--resolution", "-2"], "resolution must be an integer >= 0, got -2"),
+        (["universal", "--resolution", "-1"], "resolution must be an integer >= 0, got -1"),
+        (["phase-diagram", "--resolution", "3", "--curve-points", "3", "--m", "0"],
+         "m must be a nonzero integer"),
+    ])
+    def test_bad_grid_is_1_before_any_output(self, argv, message, tmp_path, capsys):
+        # the grids are computed while their file is open, so every input is
+        # checked before the first file is opened
+        out = tmp_path / "out.csv"
+        assert run(argv + ["--no-header", "--output", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert list(tmp_path.iterdir()) == []
+
+    def test_bad_grid_size_in_config_is_1(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"resolution": 2.5}))
+        out = tmp_path / "out.csv"
+        assert run(["xy-geometry", "--config", str(cfg), "--output", str(out)]) == 1
+        assert capsys.readouterr().err == "error: resolution must be an integer >= 0, got 2.5\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["phase-diagram", "xy-geometry", "universal"])
+    def test_resolution_0_writes_the_header_only(self, command, tmp_path):
+        out = tmp_path / "out.csv"
+        assert run([command, "--resolution", "0", "--no-header", "--output", str(out)]) == 0
+        assert len(out.read_text().splitlines()) == 2
 
     @pytest.mark.parametrize("n_max, message", [
         ("0", "n_max must be >= 1, got 0"),
@@ -505,8 +537,8 @@ def _reference_json(columns, rows):
 def _row_tuples(rows):
     if not isinstance(rows, cli._Table):
         return list(rows)
-    return [tuple(c if np.isscalar(c) else c[i] for c in rows.columns)
-            for i in range(len(rows))]
+    columns = rows.block(0, len(rows))
+    return [tuple(c if np.isscalar(c) else c[i] for c in columns) for i in range(len(rows))]
 
 
 class TestEmit:
@@ -599,7 +631,7 @@ class TestDistinctValueFormatting:
     def test_signed_zeros_and_repeats(self, tmp_path):
         x = np.array([0.0, -0.0, 1.5, 0.0, -0.0, 1.5, -0.0, 0.1])
         self.check(tmp_path, ("x", "k"), cli._Table(x, 6.0))
-        texts = cli._column_text(x, 0, len(x))
+        texts = cli._column_text(x)
         assert texts.tolist() == [repr(v) for v in x.tolist()]
         # one text object per distinct bit pattern: -0.0 and 0.0 stay apart
         assert len({id(t) for t in texts}) == 4
@@ -611,7 +643,7 @@ class TestDistinctValueFormatting:
         assert len(np.unique(x.view(np.uint64))) == 9
         f32 = np.array([1e-45, -1e-45, 1e-40, np.inf, -np.inf, np.nan] * 2, dtype=np.float32)
         self.check(tmp_path, ("x", "f32"), cli._Table(x[:12], f32))
-        assert list(cli._column_text(x, 0, len(x)))[:4] == ["nan"] * 4
+        assert list(cli._column_text(x))[:4] == ["nan"] * 4
 
     def test_repeats_in_each_dtype(self, tmp_path):
         n = 40
@@ -692,3 +724,80 @@ def test_subcommand_output_matches_reference_writer(tmp_path, monkeypatch, name,
     for columns, rows, suffix in calls:
         path = tmp_path / (f"out.{suffix}.{fmt}" if suffix else f"out.{fmt}")
         assert path.read_text() == reference(columns, _row_tuples(rows))
+
+
+def _whole_grid(a, b):
+    """Every pair of entries of a and b, a varying slowest, as two flat arrays."""
+    return [c.ravel() for c in np.meshgrid(a, b, indexing="ij")]
+
+
+def _whole_phase_diagram(kappa, m, n, curve_points):
+    """phase-diagram's two tables, each computed whole at once."""
+    sp = spectrum.special_points(kappa)
+    p, q = _whole_grid(np.linspace(sp.p0prime - 6, sp.p0 + 6, n),
+                       np.linspace(sp.Q0[1] - 6, sp.P0[1] + 6, n))
+    res = spectrum.classify_mfold(p, q, kappa, m)
+    curves = []
+    for cid, t in cli._curve_params(kappa, curve_points).items():
+        cp, cq = spectrum.mfold_map_inv(m)(*spectrum.curve_eval(cid, kappa, t))
+        curves += zip([cid] * len(t), t, np.broadcast_to(cp, t.shape), cq)
+    return [(cli._SPEC_COLS, cli._Table(p, q, kappa, m, res.region, res.beta), ""),
+            (("curve", "param", "p", "q"), curves, "curves")]
+
+
+def _whole_xy_geometry(kappa, n):
+    x, y = _whole_grid(np.linspace(0.01, 4 + kappa, n), np.linspace(0.01, kappa / 2 + 2, n))
+    p, q = spectrum.xy_inverse(x, y, kappa)
+    b1, b0, btip, blin = spectrum.xy_spectra(x, y, kappa)
+    table = cli._Table(p, q, kappa, x, y, btip, b0, blin, b1,
+                       spectrum.quartic_hyperbola_residual(x, y, kappa))
+    return [(("p", "q", "kappa", "x", "y", "beta_tip", "beta_0", "beta_lin", "beta_1",
+              "hyperbola_residual"), table, "")]
+
+
+class TestStreamedGrids:
+    """phase-diagram and xy-geometry compute their grids a block of rows at a
+    time inside ``_emit``; the files must be those of the whole grid."""
+
+    @pytest.mark.parametrize("block_rows, n", [(7, 13), (4096 + 3, 70), (None, 60)])
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("command", ["pd_m1", "pd_m3", "xy"])
+    def test_streamed_equals_whole_grid(self, tmp_path, monkeypatch, command, fmt,
+                                        block_rows, n):
+        if block_rows is not None:
+            monkeypatch.setattr(cli, "_BLOCK_ROWS", block_rows)
+        assert (n * n > cli._BLOCK_ROWS) == (block_rows is not None)
+        if command == "xy":
+            argv, tables = ["xy-geometry", "--kappa", "6"], _whole_xy_geometry(6.0, n)
+        else:
+            kappa, m = (6.0, 1) if command == "pd_m1" else (2.0, 3)
+            argv = ["phase-diagram", "--kappa", str(kappa), "--m", str(m),
+                    "--curve-points", "25"]
+            tables = _whole_phase_diagram(kappa, m, n, 25)
+        out = tmp_path / f"out.{fmt}"
+        assert run(argv + ["--resolution", str(n), "--format", fmt, "--no-header",
+                           "--output", str(out)]) == 0
+        for columns, rows, suffix in tables:
+            ref = tmp_path / f"ref.{fmt}"
+            monkeypatch.setattr(cli, "_BLOCK_ROWS", len(rows) + 1)   # one block, whole
+            cli._emit(argparse.Namespace(output=str(ref), format=fmt, no_header=True),
+                      columns, rows)
+            path = tmp_path / (f"out.{suffix}.{fmt}" if suffix else f"out.{fmt}")
+            assert path.read_bytes() == ref.read_bytes()
+
+    @pytest.mark.parametrize("argv", [["xy-geometry", "--kappa", "6"],
+                                      ["phase-diagram", "--kappa", "6"]])
+    def test_memory_does_not_grow_with_the_resolution(self, tmp_path, argv):
+        # a whole 600^2 grid's columns would be 20 MB or more above the 200^2
+        # grid's; a block of rows is the same at both
+        peaks = []
+        for n in (200, 600):
+            tracemalloc.start()
+            try:
+                assert run(argv + ["--resolution", str(n), "--no-header",
+                                   "--output", str(tmp_path / "out.csv")]) == 0
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert max(peaks) <= 8e6
+        assert abs(peaks[1] - peaks[0]) <= 1e6

@@ -394,6 +394,32 @@ class TestMeansScan:
         # constant integrand: integrals tend to 2 pi, slope ~ 0
         assert abs(scan.beta) < 0.02
 
+    @pytest.mark.parametrize("kappa, gamma, integrand", [
+        (6.0, 0.5, "closed"),
+        (2.0, 1.0, "closed"),
+        (2.0, 0.0, lambda z: np.exp(z) / (1 - z) ** 0.3),   # complex values
+    ])
+    def test_chunked_rings_sum_as_one(self, kappa, gamma, integrand):
+        # each ring is evaluated a chunk at a time into one array and summed
+        # once; the bits must be those of the unchunked ring
+        p, q = parabola_point(kappa, gamma)
+        r_grid = np.concatenate([np.linspace(0.5, 0.99, 6), [0.999, 0.9995, 0.9999]])
+        scan = integral_means_scan(integrand, p, q, kappa, r_grid)
+        if integrand == "closed":
+            g = parabola_gamma_from_pq(kappa, p, q)
+            integrand = lambda z: closed_moduli(z, kappa, g) / np.abs(z) ** q  # noqa: E731
+        integrals = []
+        for r in r_grid:
+            M = max(512, int(16.0 / (1.0 - r)))
+            ring = np.exp(2j * np.pi * np.arange(M) / M)
+            integrals.append(r * np.sum(integrand(r * ring).real) * (2 * np.pi / M))
+        assert M > 10 * moments._RING_CHUNK   # the last ring spans many chunks
+        integrals = np.array(integrals)
+        top = slice(len(r_grid) // 2, None)
+        beta = np.polyfit(-np.log(1.0 - r_grid[top] ** 2), np.log(integrals[top]), 1)[0]
+        assert np.array_equal(scan.integrals.view(np.uint64), integrals.view(np.uint64))
+        assert scan.beta == beta
+
     @pytest.mark.parametrize("name", ["mc", "", "Closed"])
     def test_unknown_named_integrand_rejected(self, name):
         with pytest.raises(DomainError, match="unknown integrand"):
