@@ -11,7 +11,12 @@ Neither writes a timestamp, so both accept ``--no-header`` and it does
 nothing there.
 
 Each subcommand takes only the flags it reads; ``--config`` names a JSON
-file of defaults for them, which the flags given override.
+file of defaults for them, which the flags given override.  Each key of
+the file names a flag and is parsed as that flag is: a list gives a
+repeatable flag once per entry, ``true`` sets ``--no-header`` and
+``false`` leaves it, ``null`` leaves the flag's default, and any other
+value is the flag's text.  A config file therefore writes the same bytes
+as the same flags.
 
 Exit codes: 0 success, 1 validation or usage error, 2 numerical failure,
 3 failed residual/acceptance check in ``check``.
@@ -354,14 +359,14 @@ def _cmd_xy_geometry(args):
 
 
 def _cmd_universal(args):
-    part = spectrum.universal_partition(p_dagger=args.p_dagger)
+    part = spectrum.universal_partition()
     rows = []
     for name, seg in part.items():
         lo = max(seg["p_range"][0], -6.0)
         hi = min(seg["p_range"][1], 6.0)
         for p in np.linspace(lo, hi, args.resolution):
             q = seg["q_of_p"](p)
-            rows.append((name, p, q, spectrum.universal_B(p, q, p_dagger=args.p_dagger),
+            rows.append((name, p, q, spectrum.universal_B(p, q),
                          int(spectrum.feng_mcgregor_domain(p, q))))
     _emit(args, ("curve", "p", "q", "B", "feng_mcgregor"), rows)
     return 0
@@ -418,7 +423,6 @@ _FLAGS = {
     "p-max": ({"type": float}, None),
     "q-min": ({"type": float}, None),
     "q-max": ({"type": float}, None),
-    "p-dagger": ({"type": float}, -2.0),
     "suite": ({"choices": residuals.SUITES}, "all"),
     "T-list": ({"type": float}, None),
     "output": ({}, None),
@@ -453,7 +457,7 @@ _COMMANDS = {
     "xy-geometry": ("conic-coordinate spectra grid", "_cmd_xy_geometry",
                     ("kappa", "resolution", *_OUT)),
     "universal": ("universal spectrum partition data", "_cmd_universal",
-                  ("resolution", "p-dagger", *_OUT)),
+                  ("resolution", *_OUT)),
     "check": ("residual and algebra check suite", "_cmd_check",
               ("kappa", "seed", "suite", "output", "no-header", "config")),
     "diagnose": ("stationarity diagnostic over horizons", "_cmd_diagnose",
@@ -491,8 +495,10 @@ def build_parser():
 
 def _merge_config(args):
     """The flags given, over the --config file's keys, over the defaults of
-    the subcommand's flags."""
-    merged = {name.replace("-", "_"): _FLAGS[name][1] for name in _flag_names(args.command)}
+    the subcommand's flags.  Each key becomes the flag it names, as the
+    module docstring says, and is parsed as the command line is."""
+    names = _flag_names(args.command)
+    merged = {name.replace("-", "_"): _FLAGS[name][1] for name in names}
     path = getattr(args, "config", None)
     if path:
         with open(path) as fh:
@@ -502,12 +508,21 @@ def _merge_config(args):
                 raise ConfigError(f"bad config file {path}: {exc}") from exc
         if not isinstance(file_cfg, dict):
             raise ConfigError("config file must hold a JSON object")
-        for k, v in file_cfg.items():
-            key = k.replace("-", "_")
-            if key not in merged:
-                raise ConfigError(f"config key {k!r} names no flag of {args.command}; "
-                                  f"its flags: {', '.join(_flag_names(args.command))}")
-            merged[key] = v
+        tokens = [args.command]
+        for key, value in file_cfg.items():
+            name = key.replace("_", "-")
+            if name not in names:
+                raise ConfigError(f"config key {key!r} names no flag of {args.command}; "
+                                  f"its flags: {', '.join(names)}")
+            if value is None:   # as when the flag is not given
+                continue
+            if _FLAGS[name][0].get("action") == "store_true" and isinstance(value, bool):
+                tokens += [f"--{name}"] if value else []
+                continue
+            repeats = f"{name}+" in _COMMANDS[args.command][2] and isinstance(value, list)
+            tokens += [f"--{name}={v if isinstance(v, str) else json.dumps(v)}"
+                       for v in (value if repeats else [value])]
+        merged.update(vars(build_parser().parse_args(tokens)))
     merged.update(vars(args))
     return argparse.Namespace(**merged)
 
@@ -517,14 +532,13 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         args = _merge_config(args)
-        if hasattr(args, "kappa") and not (
-                isinstance(args.kappa, (int, float)) and 0 < args.kappa < math.inf):
+        if hasattr(args, "kappa") and not 0 < args.kappa < math.inf:
             raise ConfigError(f"kappa must be finite and > 0, got {args.kappa!r}")
         for name in ("resolution", "curve_points"):   # checked before any output is opened
-            if not (isinstance(n := getattr(args, name, 0), int) and n >= 0):
+            if (n := getattr(args, name, 0)) < 0:
                 raise ConfigError(f"{name.replace('_', '-')} must be an integer >= 0, got {n!r}")
         return args.func(args)
-    except (ConfigError, DomainError, FileNotFoundError, ValueError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (SingularityError, FloatingPointError, OverflowError) as exc:

@@ -61,7 +61,7 @@ def parabola_gamma(kappa, p, branch="-"):
 def parabola_gamma_from_pq(kappa, p, q):
     """gamma of an on-parabola pair, from the linear relation 2p - q."""
     gamma = (2 * p - q) / (1 + kappa / 2)
-    if abs(cartesian_residual("redParabola", kappa, p, q)) > 1e-9:
+    if not abs(cartesian_residual("redParabola", kappa, p, q)) <= 1e-9:   # NaN is off it
         raise DomainError(f"(p, q)=({p}, {q}) does not lie on the parabola")
     return gamma
 

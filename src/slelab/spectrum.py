@@ -396,25 +396,26 @@ def _b0(p):
     return p * p / 4.0
 
 
-def universal_bounded(p, p_dagger=-2.0):
-    """Universal spectrum B(p) of bounded univalent maps."""
-    if p <= p_dagger:
+def universal_bounded(p):
+    """Universal spectrum B(p) of bounded univalent maps.  The tip branch
+    -p - 1 meets the bulk p^2/4 at p = -2, where B is continuous."""
+    if p <= -2:
         return -p - 1.0
     if p >= 2:
         return p - 1.0
     return float(_b0(p))
 
 
-def universal_B(p, q, p_dagger=-2.0):
+def universal_B(p, q):
     """Conjectured universal generalized spectrum max{B(p), 3p - 2q - 1}."""
-    return max(universal_bounded(p, p_dagger), 3 * p - 2 * q - 1)
+    return max(universal_bounded(p), 3 * p - 2 * q - 1)
 
 
-def universal_partition(p_dagger=-2.0):
+def universal_partition():
     """Separatrix curves of the universal phase diagram."""
     return {
-        "tip": {"p_range": (-np.inf, p_dagger), "q_of_p": lambda p: 2 * p},
-        "bulk": {"p_range": (p_dagger, 2.0),
+        "tip": {"p_range": (-np.inf, -2.0), "q_of_p": lambda p: 2 * p},
+        "bulk": {"p_range": (-2.0, 2.0),
                  "q_of_p": lambda p: (3 * p - 1 - _b0(p)) / 2},
         "lin": {"p_range": (2.0, np.inf), "q_of_p": lambda p: p},
     }

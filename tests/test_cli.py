@@ -17,6 +17,14 @@ def run(argv):
     return cli.main(argv)
 
 
+def _usage_error(argv, capsys):
+    """The stderr of a run that must end in a usage error, exit 1."""
+    with pytest.raises(SystemExit) as exc:
+        run(argv)
+    assert exc.value.code == 1
+    return capsys.readouterr().err
+
+
 def read_table(path):
     lines = path.read_text().strip().splitlines()
     data = [ln for ln in lines if not ln.startswith("#")]
@@ -190,11 +198,12 @@ class TestExitCodes:
         assert list(tmp_path.iterdir()) == []
 
     def test_bad_grid_size_in_config_is_1(self, tmp_path, capsys):
+        # a config value is parsed as its flag, so it is the same usage error
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"resolution": 2.5}))
         out = tmp_path / "out.csv"
-        assert run(["xy-geometry", "--config", str(cfg), "--output", str(out)]) == 1
-        assert capsys.readouterr().err == "error: resolution must be an integer >= 0, got 2.5\n"
+        assert _usage_error(["xy-geometry", "--config", str(cfg), "--output", str(out)],
+                            capsys) == _usage_error(["xy-geometry", "--resolution", "2.5"], capsys)
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["phase-diagram", "xy-geometry", "universal"])
@@ -280,8 +289,29 @@ class TestExitCodes:
     def test_bad_kappa_in_config_is_1(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"kappa": "six"}))
-        assert run(["check", "--config", str(cfg)]) == 1
-        assert capsys.readouterr().err.startswith("error: kappa must be finite and > 0")
+        out = tmp_path / "out.json"
+        assert _usage_error(["check", "--config", str(cfg), "--output", str(out)],
+                            capsys) == _usage_error(["check", "--kappa", "six"], capsys)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag", ["--output", "--config"])
+    def test_directory_path_is_1(self, flag, tmp_path, capsys):
+        assert run(["spectrum", "--p", "0", "--q", "0", flag, str(tmp_path)]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_nan_exponent_is_off_the_parabola(self, tmp_path, capsys):
+        with pytest.raises(flow.DomainError):
+            moments.parabola_gamma_from_pq(2.0, float("nan"), 2.0)
+        out = tmp_path / "out.csv"
+        assert run(["means-scan", "--p", "nan", "--q", "2", "--output", str(out)]) == 1
+        assert capsys.readouterr().err == "error: (p, q)=(nan, 2.0) does not lie on the parabola\n"
+        assert not out.exists()
+        # moments writes the estimate with a NaN closed form beside it
+        assert run(["moments", "--p", "nan", "--z", "0.3", "--n-samples", "2", "--dt", "0.1",
+                    "--T", "0.3", "--no-header", "--output", str(out)]) == 0
+        _, rows = read_table(out)
+        assert rows[0]["closed_form_re"] == rows[0]["closed_form_im"] == "nan"
 
     def test_check_all_pass_exit_0(self, tmp_path):
         out = tmp_path / "r.json"
@@ -316,6 +346,7 @@ _NOT_TAKEN = [
     ["check", "--format", "csv"],
     ["simulate", "--format", "json", "--z", "0.5"],
     ["means-scan", "--integrand", "mc"],
+    ["universal", "--p-dagger", "3"],
     *([command, flag, "1"] for command in ("spectrum", "phase-diagram", "xy-geometry",
                                           "universal", "means-scan")
       for flag in ("--seed", "--workers")),
@@ -385,6 +416,88 @@ def test_every_declared_flag_is_read(command, tmp_path, monkeypatch):
     assert run([command, *_SMALL[command], "--output", str(tmp_path / "out")]) == 0
     declared = {f.replace("-", "_") for f in cli._flag_names(command)}
     assert declared - reads == ({"no_header"} if command in ("simulate", "check") else set())
+
+
+def _outcome(argv, out, capsys):
+    """What a run leaves: its exit code, its stderr and the bytes of every
+    file it wrote in ``out``'s directory."""
+    out.parent.mkdir()
+    try:
+        code = run(argv + ["--output", str(out)])
+    except SystemExit as exc:
+        code = exc.code
+    return code, capsys.readouterr().err, {f.name: f.read_bytes() for f in out.parent.iterdir()}
+
+
+def _as_config(command, argv):
+    """The --config object of ``argv``'s flag-value pairs and --no-header:
+    a JSON number where the text is one, a list for a repeatable flag."""
+    repeatable = {f[:-1] for f in cli._COMMANDS[command][2] if f.endswith("+")}
+    cfg = {"no-header": True}
+    for flag, text in zip(argv[::2], argv[1::2]):
+        try:
+            value = json.loads(text)
+        except json.JSONDecodeError:
+            value = text
+        if flag[2:] in repeatable:
+            cfg.setdefault(flag[2:], []).append(value)
+        else:
+            cfg[flag[2:]] = value
+    return cfg
+
+
+_MOMENTS = ["moments", "--n-samples", "2", "--dt", "0.1", "--T", "0.3", "--no-header"]
+_SPECTRUM = ["spectrum", "--p", "0", "--q", "0", "--no-header"]
+
+# (a run, a --config object, the flags that object stands for)
+_CONFIG_AS_FLAGS = [
+    (_SPECTRUM, {"kappa": 6}, ["--kappa", "6"]),
+    (_SPECTRUM, {"kappa": True}, ["--kappa", "true"]),
+    (_SPECTRUM, {"format": "xml"}, ["--format", "xml"]),
+    (_SPECTRUM, {"no-header": "false"}, ["--no-header=false"]),
+    (["spectrum", "--no-header"], {"p": 0.5, "q": [-1]}, ["--p", "0.5", "--q", "-1"]),
+    (_MOMENTS, {"z": "0.5+0.1j"}, ["--z", "0.5+0.1j"]),
+    (_MOMENTS, {"z": [0.5]}, ["--z", "0.5"]),
+    (_MOMENTS + ["--z", "0.5"], {"seed": "x"}, ["--seed", "x"]),
+    (_MOMENTS + ["--z", "0.5"], {"n-samples": 2.5}, ["--n-samples", "2.5"]),
+    (_MOMENTS + ["--z", "0.5"], {"p": [1.0, 2.0]}, ["--p", "[1.0, 2.0]"]),
+    (["diagnose", "--n-samples", "2", "--dt", "0.1", "--no-header"], {"T-list": 1.0},
+     ["--T-list", "1.0"]),
+    (["phase-diagram", "--resolution", "3", "--curve-points", "3", "--no-header"],
+     {"p-min": None, "output": None}, []),
+]
+
+
+class TestConfigAsFlags:
+    """A --config file is parsed as the flags it names."""
+
+    @pytest.mark.parametrize("command", list(_SMALL))
+    def test_config_writes_the_bytes_of_the_flags(self, command, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(_as_config(command, _SMALL[command])))
+        by_config = _outcome([command, "--config", str(cfg)], tmp_path / "a" / "out", capsys)
+        by_flags = _outcome([command, *_SMALL[command], "--no-header"],
+                            tmp_path / "b" / "out", capsys)
+        assert by_config == by_flags
+        assert by_config[0] == 0
+
+    @pytest.mark.parametrize("argv, config, flags", _CONFIG_AS_FLAGS,
+                             ids=[json.dumps(c) for _, c, _ in _CONFIG_AS_FLAGS])
+    def test_config_runs_as_its_flags(self, argv, config, flags, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        by_config = _outcome(argv + ["--config", str(cfg)], tmp_path / "a" / "out", capsys)
+        assert by_config == _outcome(argv + flags, tmp_path / "b" / "out", capsys)
+        code, err, files = by_config
+        assert (code, bool(files)) in ((0, True), (1, False))
+        assert code == 0 or "error: argument --" in err
+
+    def test_flag_replaces_the_config_list(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"z": ["0.1", "0.2"]}))
+        by_flags = _outcome(_MOMENTS + ["--z", "0.3"], tmp_path / "b" / "out", capsys)
+        assert _outcome(_MOMENTS + ["--config", str(cfg), "--z", "0.3"],
+                        tmp_path / "a" / "out", capsys) == by_flags
 
 
 class TestOtherCommands:

@@ -11,6 +11,7 @@ import sys
 import pytest
 
 import slelab
+from slelab import cli
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "slelab"
 
@@ -85,6 +86,12 @@ def test_random_draws_only_through_the_key():
     stray = sorted(f"{name}:{line} in {func}" for name, func, line in uses
                    if (name, func) not in _RNG_HOMES)
     assert not stray, f"random draws outside flow._rng: {stray}"
+
+
+def test_every_flag_is_taken():
+    # a flag that no subcommand takes is a dead knob
+    taken = {name for command in cli._COMMANDS for name in cli._flag_names(command)}
+    assert set(cli._FLAGS) - taken == set()
 
 
 _CLI_CALLS = [
