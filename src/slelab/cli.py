@@ -27,6 +27,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import datetime
+import functools
 import json
 import math
 import os
@@ -297,11 +298,9 @@ def _spec_columns(args, p, q):
 
 
 def _cmd_spectrum(args):
-    ps = args.p if isinstance(args.p, list) else [args.p]
-    qs = args.q if isinstance(args.q, list) else [args.q]
-    if not ps or len(ps) != len(qs):
+    if not args.p or len(args.p) != len(args.q):
         raise ConfigError("spectrum needs matching --p/--q lists")
-    _emit(args, _SPEC_COLS, _Table(*_spec_columns(args, ps, qs)))
+    _emit(args, _SPEC_COLS, _Table(*_spec_columns(args, args.p, args.q)))
     return 0
 
 
@@ -395,7 +394,8 @@ def _cmd_diagnose(args):
 # argument parsing
 
 # Every flag, by name: its argparse keywords and its default.  Flag --a-b
-# sets args.a_b, and a --config file sets it by the key "a-b" or "a_b".
+# sets args.a_b, and a --config file sets it by the key "a-b" or "a_b".  A
+# repeatable flag that is not given is an empty list, whatever its default.
 _FLAGS = {
     "kappa": ({"type": float}, 2.0),
     "seed": ({"type": int}, 0),
@@ -405,7 +405,7 @@ _FLAGS = {
     "n-samples": ({"type": int}, 1000),
     "p": ({"type": float}, 2.0),
     "q": ({"type": float}, 2.0),
-    "z": ({}, []),
+    "z": ({}, None),
     "kind": ({"choices": ("complex", "moduli")}, "complex"),
     "z1": ({}, "0.3"),
     "z2": ({}, "0.25"),
@@ -436,8 +436,9 @@ _OUT = ("output", "format", "no-header", "config")
 
 # Every subcommand: its help text, the name of its handler and the flags the
 # handler reads.  A trailing "+" makes a flag repeatable, each use appending
-# to a list.  Handlers are looked up by name when the parser is built, so a
-# wrapper set on this module in the meantime is the one that runs.
+# to a list.  ``main`` looks the handler up by name on this module when the
+# subcommand runs, not when the parser is built, so a wrapper set on this
+# module at any time before a call is the one that call runs.
 _COMMANDS = {
     "simulate": ("dump whole-plane samples as CSV", "_cmd_simulate",
                  (*_SIM, "z+", "output", "no-header", "config")),
@@ -478,7 +479,11 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+@functools.cache
 def build_parser():
+    """The parser of every subcommand, built once per process and shared by
+    every call, so no caller may change it.  It holds each handler's name,
+    which ``main`` looks up when the subcommand runs."""
     parser = _Parser(prog="slelab", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
     for command, (help_text, handler, flags) in _COMMANDS.items():
@@ -489,7 +494,7 @@ def build_parser():
             if flag != name:
                 kwargs["action"] = "append"
             s.add_argument(f"--{name}", **kwargs)
-        s.set_defaults(func=globals()[handler])
+        s.set_defaults(func=handler)
     return parser
 
 
@@ -497,8 +502,10 @@ def _merge_config(args):
     """The flags given, over the --config file's keys, over the defaults of
     the subcommand's flags.  Each key becomes the flag it names, as the
     module docstring says, and is parsed as the command line is."""
+    flags = _COMMANDS[args.command][2]
     names = _flag_names(args.command)
-    merged = {name.replace("-", "_"): _FLAGS[name][1] for name in names}
+    merged = {f.rstrip("+").replace("-", "_"): [] if f.endswith("+") else _FLAGS[f][1]
+              for f in flags}
     path = getattr(args, "config", None)
     if path:
         with open(path) as fh:
@@ -519,7 +526,7 @@ def _merge_config(args):
             if _FLAGS[name][0].get("action") == "store_true" and isinstance(value, bool):
                 tokens += [f"--{name}"] if value else []
                 continue
-            repeats = f"{name}+" in _COMMANDS[args.command][2] and isinstance(value, list)
+            repeats = f"{name}+" in flags and isinstance(value, list)
             tokens += [f"--{name}={v if isinstance(v, str) else json.dumps(v)}"
                        for v in (value if repeats else [value])]
         merged.update(vars(build_parser().parse_args(tokens)))
@@ -528,8 +535,7 @@ def _merge_config(args):
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         args = _merge_config(args)
         if hasattr(args, "kappa") and not 0 < args.kappa < math.inf:
@@ -537,7 +543,7 @@ def main(argv=None):
         for name in ("resolution", "curve_points"):   # checked before any output is opened
             if (n := getattr(args, name, 0)) < 0:
                 raise ConfigError(f"{name.replace('_', '-')} must be an integer >= 0, got {n!r}")
-        return args.func(args)
+        return globals()[args.func](args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -328,7 +328,7 @@ def _split_near(rows, cols, state, out, th0, slope, lam0, lam1, macro, t0):
     calls = 0
     while rows.size:
         d = np.abs(w - lam0)
-        if np.any(d < _W_LAMBDA_FLOOR):
+        if (d < _W_LAMBDA_FLOOR).any():
             raise SingularityError("flow point collided with the driving singularity "
                                    f"at t={float(t0 + elapsed[np.argmin(d)])!r}")
         h = np.minimum(macro * (d / _SINGULAR_DELTA) ** 2, macro - elapsed)
@@ -337,7 +337,7 @@ def _split_near(rows, cols, state, out, th0, slope, lam0, lam1, macro, t0):
         w, ld, lr = _rk4_substep(w, ld, lr, lam0, lam_half, lam_end, h)
         calls += 1
         ok = np.abs(w) <= absw + _MONOTONE_SLACK
-        if not np.all(ok):
+        if not ok.all():
             t = float(t0 + elapsed[np.argmin(ok)])
             raise SingularityError(f"|w| failed to decrease at t={t!r}; integrator step rejected")
         absw = np.abs(w)
@@ -399,7 +399,7 @@ def evolve(path: DrivingPath, cfg: SimConfig, points) -> WholePlaneSample:
             if scan:
                 rows, cols = np.nonzero(np.abs(state[0] - lam[j]) < _SINGULAR_DELTA)
                 ok[rows, cols] = True             # checked sub-step by sub-step
-            if not np.all(ok):
+            if not ok.all():
                 raise SingularityError(f"|w| failed to decrease at t={float(t[b0 + j])!r}; "
                                        "integrator step rejected")
             if scan and rows.size:

@@ -4,6 +4,10 @@ import argparse
 import csv
 import io
 import json
+import os
+import pathlib
+import subprocess
+import sys
 import tracemalloc
 import warnings
 
@@ -51,6 +55,14 @@ class TestSpectrumCommand:
         payload = json.loads(out.read_text())
         assert payload["columns"][:2] == ["p", "q"]
         assert "generated" not in payload
+
+    @pytest.mark.parametrize("argv", [["spectrum"], ["spectrum", "--p", "1"]], ids=" ".join)
+    def test_no_points_is_1(self, argv, tmp_path, capsys):
+        # a --p/--q that is not given is no point, not the scalar default of moments
+        out = tmp_path / "s.csv"
+        assert run(argv + ["--no-header", "--output", str(out)]) == 1
+        assert capsys.readouterr().err == "error: spectrum needs matching --p/--q lists\n"
+        assert not out.exists()
 
 
 class TestPhaseDiagram:
@@ -498,6 +510,49 @@ class TestConfigAsFlags:
         by_flags = _outcome(_MOMENTS + ["--z", "0.3"], tmp_path / "b" / "out", capsys)
         assert _outcome(_MOMENTS + ["--config", str(cfg), "--z", "0.3"],
                         tmp_path / "a" / "out", capsys) == by_flags
+
+
+class TestParserBuiltOnce:
+    """main parses every call with one parser per process, and no call
+    changes what a later call writes."""
+
+    def test_built_once(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"kappa": 6}))
+        cli.build_parser.cache_clear()
+        for argv in (_SPECTRUM, _SPECTRUM + ["--config", str(cfg)],
+                     ["universal", "--resolution", "3", "--no-header"]):
+            assert run(argv + ["--output", str(tmp_path / "out")]) == 0
+        assert cli.build_parser.cache_info().misses == 1
+
+    def test_handler_set_after_a_call_runs(self, tmp_path, monkeypatch):
+        out = str(tmp_path / "out")
+        assert run(_SPECTRUM + ["--output", out]) == 0
+        seen = []
+        monkeypatch.setattr(cli, "_cmd_spectrum", lambda args: seen.append(args.p) or 7)
+        assert run(_SPECTRUM + ["--output", out]) == 7
+        assert seen == [[0.0]]
+
+    def test_no_call_leaks_into_the_next(self, tmp_path):
+        spectrum_cfg = tmp_path / "spectrum.json"
+        spectrum_cfg.write_text(json.dumps({"kappa": 6, "p": [0.5, 1.5], "q": [-1, 0]}))
+        moments_cfg = tmp_path / "moments.json"
+        moments_cfg.write_text(json.dumps({"kappa": 6, "z": ["0.1", "0.2"]}))
+        tiny = ["--n-samples", "2", "--dt", "0.1", "--T", "0.3"]
+        calls = [["spectrum", "--p", "1", "--q", "2"], ["spectrum", "--p", "3", "--q", "4"],
+                 ["spectrum", "--config", str(spectrum_cfg)], ["spectrum", "--p", "0", "--q", "0"],
+                 ["moments", "--config", str(moments_cfg), *tiny], ["moments", "--z", "0.3", *tiny],
+                 ["diagnose", "--T-list", "0.2", "--T-list", "0.3", *tiny], ["diagnose", *tiny]]
+        env = dict(os.environ, PYTHONPATH=str(pathlib.Path(cli.__file__).parents[1]))
+        for i, argv in enumerate(calls):
+            here, alone = tmp_path / f"here{i}.csv", tmp_path / f"alone{i}.csv"
+            assert run(argv + ["--no-header", "--output", str(here)]) == 0
+            subprocess.run([sys.executable, "-m", "slelab.cli", *argv, "--no-header",
+                            "--output", str(alone)], env=env, check=True, timeout=300)
+            assert here.read_bytes() == alone.read_bytes(), argv
+        rows = [read_table(tmp_path / f"here{i}.csv")[1] for i in range(6)]
+        assert [len(r) for r in rows] == [1, 1, 2, 1, 2, 1]
+        assert [r[0]["kappa"] for r in rows] == ["2.0", "2.0", "6.0", "2.0", "6.0", "2.0"]
 
 
 class TestOtherCommands:

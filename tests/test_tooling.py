@@ -94,6 +94,14 @@ def test_every_flag_is_taken():
     assert set(cli._FLAGS) - taken == set()
 
 
+def test_every_handler_is_a_function_of_cli():
+    # main looks a handler up by name only when its subcommand runs, so a
+    # misspelt name would otherwise show only when that subcommand is called
+    missing = [name for _, name, _ in cli._COMMANDS.values()
+               if not callable(getattr(cli, name, None))]
+    assert missing == []
+
+
 _CLI_CALLS = [
     ["check", "--suite", "all", "--kappa", "6"],
     ["spectrum", "--kappa", "6", "--p", "0", "--q", "0"],
