@@ -45,25 +45,17 @@ SCHEMA_VERSION = "slelab-csv v1"
 # output plumbing
 
 
-def _fmt(value):
-    if isinstance(value, (float, np.floating)):
-        return repr(float(value))
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return str(value)
-
-
 class _Table:
-    """Rows for ``_emit``, which asks ``block(start, stop)`` for the columns
-    of rows start..stop-1, a block of rows at a time.
+    """The table ``_emit`` writes, which it asks ``block(start, stop)`` for
+    the columns of rows start..stop-1, a block of rows at a time.
 
-    Each column is an array or list with one entry per row, or a scalar
-    that every row repeats.  ``len()`` is the number of rows.
+    Each column is an array (a list or tuple is stored as one) with one
+    entry per row, or a scalar that every row repeats.  ``len()`` counts rows.
     """
 
     def __init__(self, *columns):
-        self.columns = columns
-        self.n_rows = next(len(c) for c in columns if not np.isscalar(c))
+        self.columns = [c if np.isscalar(c) else np.asarray(c) for c in columns]
+        self.n_rows = next(len(c) for c in self.columns if not np.isscalar(c))
 
     def __len__(self):
         return self.n_rows
@@ -85,31 +77,24 @@ class _Grid(_Table):
 
 
 def _column_text(column, enc=None):
-    """The entries of one column as ``_fmt`` writes them, passed through
-    ``enc`` when given: one text for a scalar column, else a sequence of
-    texts.
-
-    Array columns of numbers, bools or strings are formatted once per
-    distinct value, told apart by bit pattern so that -0.0 and 0.0 (or two
-    NaN payloads) stay apart, and the texts are mapped back to the rows.
+    """The text of each entry of an array column of numbers, bools or
+    strings, passed through ``enc`` when given: ``repr`` of a float and
+    ``str`` of anything else (a bool reads ``True``).  A scalar column is
+    formatted as a one-entry array.  Each distinct value is formatted once,
+    told apart by bit pattern so that -0.0 and 0.0 (or two NaN payloads)
+    stay apart, and the texts are mapped back to the entries.
     """
-    if np.isscalar(column):
-        text = _fmt(column)
-        return enc(text) if enc else text
-    kind = column.dtype.kind if isinstance(column, np.ndarray) else None
+    column = np.atleast_1d(column)
+    kind = column.dtype.kind
     if kind == "U":
         distinct, inverse = np.unique(column, return_inverse=True)
         texts = distinct.tolist()
-    elif kind in ("b", "i", "u") or kind == "f" and column.dtype.itemsize <= 8:
-        bits, inverse = np.unique(column.view(f"u{column.dtype.itemsize}"), return_inverse=True)
-        # tolist() yields Python floats, ints and bools, whose text is _fmt's
-        texts = list(map(repr if kind == "f" else str, bits.view(column.dtype).tolist()))
     else:
-        texts = [_fmt(v) for v in column]
-        inverse = None
+        bits, inverse = np.unique(column.view(f"u{column.dtype.itemsize}"), return_inverse=True)
+        texts = list(map(repr if kind == "f" else str, bits.view(column.dtype).tolist()))
     if enc:
         texts = list(map(enc, texts))
-    return texts if inverse is None else np.array(texts, dtype=object)[inverse]
+    return np.array(texts, dtype=object)[inverse]
 
 
 _BLOCK_ROWS = 1 << 12   # rows computed and formatted at a time, bounding the memory held
@@ -122,7 +107,7 @@ def _text_blocks(rows, sep, end, last, enc=None):
     n = len(rows)
     for start in range(0, n, _BLOCK_ROWS):
         stop = min(start + _BLOCK_ROWS, n)
-        cols = rows.block(start, stop) if isinstance(rows, _Table) else list(zip(*rows[start:stop]))
+        cols = rows.block(start, stop)
         cells = np.empty((stop - start, 2 * len(cols)), dtype=object)
         cells[:, 1::2] = sep
         cells[:, -1] = end
@@ -167,8 +152,8 @@ def _open_output(path):
 def _emit(args, columns, rows, suffix=""):
     """Write a table as CSV or JSON to the output path (or stdout).
 
-    ``rows`` is a sequence of row tuples or a ``_Table``, whose blocks are
-    computed while the file is open: a handler checks its inputs first.
+    ``rows`` is a ``_Table``, whose blocks are computed while the file is
+    open: a handler checks its inputs first.
     """
     out = args.output
     if out and suffix:
@@ -198,6 +183,12 @@ def _parse_complex(s):
 
 def _sim_config(args):
     return SimConfig(kappa=args.kappa, horizon_T=args.T, dt=args.dt, seed=args.seed)
+
+
+def _require_finite_pq(args):
+    """Reject a non-finite --p or --q before any path is drawn."""
+    for name in ("p", "q"):
+        spectrum._require_finite(name, np.array(getattr(args, name)))
 
 
 def _ensemble(args, points):
@@ -252,19 +243,21 @@ def _cmd_moments(args):
     zs = [_parse_complex(s) for s in args.z]
     if not zs:
         raise ConfigError("moments requires at least one --z point")
+    _require_finite_pq(args)
     sample = _ensemble(args, zs)
     estimate = moments.estimate_moduli if args.kind == "moduli" else moments.estimate_one_point
-    _emit(args, _MOMENT_COLS, [_moment_row(args, args.kind, estimate(sample, args.p, args.q, z), z)
-                               for z in zs])
+    rows = [_moment_row(args, args.kind, estimate(sample, args.p, args.q, z), z) for z in zs]
+    _emit(args, _MOMENT_COLS, _Table(*zip(*rows)))
     return 0
 
 
 def _cmd_two_point(args):
     z1 = _parse_complex(args.z1)
     z2 = _parse_complex(args.z2)
+    _require_finite_pq(args)
     sample = _ensemble(args, [z1, z2] if z1 != z2 else [z1])
     est = moments.estimate_two_point(sample, args.p, args.q, z1, z2)
-    _emit(args, _MOMENT_COLS, [_moment_row(args, "two-point", est, z1, z2)])
+    _emit(args, _MOMENT_COLS, _Table(*zip(*[_moment_row(args, "two-point", est, z1, z2)])))
     return 0
 
 
@@ -358,16 +351,14 @@ def _cmd_xy_geometry(args):
 
 
 def _cmd_universal(args):
-    part = spectrum.universal_partition()
-    rows = []
-    for name, seg in part.items():
-        lo = max(seg["p_range"][0], -6.0)
-        hi = min(seg["p_range"][1], 6.0)
-        for p in np.linspace(lo, hi, args.resolution):
-            q = seg["q_of_p"](p)
-            rows.append((name, p, q, spectrum.universal_B(p, q),
-                         int(spectrum.feng_mcgregor_domain(p, q))))
-    _emit(args, ("curve", "p", "q", "B", "feng_mcgregor"), rows)
+    curves = []
+    for name, seg in spectrum.universal_partition().items():
+        p = np.linspace(*np.clip(seg["p_range"], -6.0, 6.0), args.resolution)
+        curves.append((np.full(p.shape, name), p, seg["q_of_p"](p)))
+    name, p, q = map(np.concatenate, zip(*curves))
+    _emit(args, ("curve", "p", "q", "B", "feng_mcgregor"),
+          _Table(name, p, q, spectrum.universal_B(p, q),
+                 spectrum.feng_mcgregor_domain(p, q).astype(int)))
     return 0
 
 
@@ -384,9 +375,10 @@ def _cmd_diagnose(args):
     cfg = _sim_config(args)
     z = _parse_complex(args.z[0]) if args.z else 0.5 + 0j
     T_list = sorted(args.T_list) if args.T_list else [2.0, 4.0, 6.0, 8.0]
+    _require_finite_pq(args)
     rows = moments.stationarity_diagnostic(cfg, z, T_list, args.n_samples,
                                            p=args.p, q=args.q, workers=args.workers)
-    _emit(args, ("T", "estimate", "stderr"), rows)
+    _emit(args, ("T", "estimate", "stderr"), _Table(*zip(*rows)))
     return 0
 
 

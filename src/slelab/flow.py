@@ -350,6 +350,14 @@ def _split_near(rows, cols, state, out, th0, slope, lam0, lam1, macro, t0):
     return calls
 
 
+def _checked_points(cfg: SimConfig, points):
+    """The points as a flat complex array, each with |z| <= r_max, which a NaN is not."""
+    z0 = np.asarray(points, dtype=complex).reshape(-1)
+    if not np.all(np.abs(z0) <= cfg.r_max + 1e-12):
+        raise DomainError(f"all |z| must be <= r_max={cfg.r_max}")
+    return z0
+
+
 def evolve(path: DrivingPath, cfg: SimConfig, points) -> WholePlaneSample:
     """Integrate the conjugate reverse radial flow to t = horizon_T, where
     the driving path must end.
@@ -364,9 +372,7 @@ def evolve(path: DrivingPath, cfg: SimConfig, points) -> WholePlaneSample:
     of their driving point, so each gives the same bits alone and in any
     batch.
     """
-    z0 = np.asarray(points, dtype=complex).reshape(-1)
-    if np.any(np.abs(z0) > cfg.r_max + 1e-12):
-        raise DomainError(f"all |z| must be <= r_max={cfg.r_max}")
+    z0 = _checked_points(cfg, points)
     t = path.times
     # logf and logfp add cfg.horizon_T to the states at the driver's end
     if abs(t[-1] - cfg.horizon_T) > 1e-12:
@@ -428,7 +434,7 @@ def sample_ensemble(cfg: SimConfig, points, n_samples: int, workers: int = 1) ->
     if workers < 1:
         raise ConfigError(f"workers must be >= 1, got {workers}")
     if n_samples == 0:
-        z0 = np.asarray(points, dtype=complex).reshape(-1)
+        z0 = _checked_points(cfg, points)
         empty = np.zeros((0, z0.size), dtype=complex)
         return WholePlaneSample(z=z0, w=empty, logderiv=empty.copy(), logratio=empty.copy(),
                                 config=cfg, substeps=0)

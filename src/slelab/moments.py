@@ -320,7 +320,7 @@ def integral_means_scan(integrand, p, q, kappa, r_grid, angular_M=512) -> MeansS
     over the top half of ``r_grid``, so the fit needs at least 3 radii.
     """
     r_grid = np.asarray(r_grid, dtype=float)
-    if np.any(np.diff(r_grid) <= 0) or np.any(r_grid <= 0) or np.any(r_grid >= 1):
+    if not (np.all(np.diff(r_grid) > 0) and np.all((r_grid > 0) & (r_grid < 1))):   # NaN fails
         raise DomainError("r_grid must be increasing and inside (0, 1)")
     if len(r_grid) < 3:
         raise DomainError(f"the slope fit over the top half of r_grid needs at least 3 radii, "

@@ -397,18 +397,17 @@ def _b0(p):
 
 
 def universal_bounded(p):
-    """Universal spectrum B(p) of bounded univalent maps.  The tip branch
-    -p - 1 meets the bulk p^2/4 at p = -2, where B is continuous."""
-    if p <= -2:
-        return -p - 1.0
-    if p >= 2:
-        return p - 1.0
-    return float(_b0(p))
+    """Universal spectrum B(p) of bounded univalent maps, elementwise on an
+    array p.  The tip branch -p - 1 meets the bulk p^2/4 at p = -2, where B
+    is continuous."""
+    # clipped to [-2, 2], where the bulk is taken, so a large |p| cannot overflow p^2
+    return np.where(p <= -2, -p - 1.0, np.where(p >= 2, p - 1.0, _b0(np.clip(p, -2.0, 2.0))))[()]
 
 
 def universal_B(p, q):
-    """Conjectured universal generalized spectrum max{B(p), 3p - 2q - 1}."""
-    return max(universal_bounded(p), 3 * p - 2 * q - 1)
+    """Conjectured universal generalized spectrum max{B(p), 3p - 2q - 1},
+    elementwise on arrays p and q broadcast together."""
+    return np.maximum(universal_bounded(p), 3 * p - 2 * q - 1)
 
 
 def universal_partition():
@@ -422,8 +421,9 @@ def universal_partition():
 
 
 def feng_mcgregor_domain(p, q):
-    """Domain where the universal bound 3p - 2q - 1 is proven."""
-    return p >= 0 and q < min(2.0, 1.25 * p - 0.5)
+    """Domain where the universal bound 3p - 2q - 1 is proven, elementwise
+    on arrays p and q broadcast together."""
+    return (p >= 0) & (q < np.minimum(2.0, 1.25 * p - 0.5))
 
 
 def koebe_limit_partition():

@@ -319,11 +319,60 @@ class TestExitCodes:
         assert run(["means-scan", "--p", "nan", "--q", "2", "--output", str(out)]) == 1
         assert capsys.readouterr().err == "error: (p, q)=(nan, 2.0) does not lie on the parabola\n"
         assert not out.exists()
-        # moments writes the estimate with a NaN closed form beside it
-        assert run(["moments", "--p", "nan", "--z", "0.3", "--n-samples", "2", "--dt", "0.1",
-                    "--T", "0.3", "--no-header", "--output", str(out)]) == 0
+        # moments writes the estimate of an off-parabola pair with a NaN
+        # closed form beside it
+        assert run(["moments", "--p", "1", "--q", "3", "--z", "0.3", "--n-samples", "2",
+                    "--dt", "0.1", "--T", "0.3", "--no-header", "--output", str(out)]) == 0
         _, rows = read_table(out)
         assert rows[0]["closed_form_re"] == rows[0]["closed_form_im"] == "nan"
+
+    @pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
+    @pytest.mark.parametrize("flag", ["p", "q"])
+    @pytest.mark.parametrize("command", [["moments", "--z", "0.5"], ["two-point"],
+                                         ["diagnose", "--T-list", "0.05"]], ids=lambda c: c[0])
+    def test_non_finite_moment_exponent_is_1(self, command, flag, value, tmp_path, capsys,
+                                             monkeypatch):
+        def no_sampling(*args, **kwargs):
+            raise AssertionError("the ensemble was drawn")
+
+        monkeypatch.setattr(flow, "sample_ensemble", no_sampling)
+        monkeypatch.setattr(moments, "sample_ensemble", no_sampling)
+        out = tmp_path / "out.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(command + [f"--{flag}={value}", "--output", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {flag} must be finite, got {flag}={value}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv, n_samples", [
+        *((argv, n) for n in ("0", "1") for argv in (
+            ["moments", "--z", "nan"], ["moments", "--z", "0.3", "--z", "0.1+nanj"],
+            ["simulate", "--z", "nan"], ["two-point", "--z1", "nan"],
+            ["two-point", "--z2", "nan+0.1j"], ["diagnose", "--z", "nan", "--T-list", "0.05"])),
+        (["moments", "--kappa", "2", "--z", "5"], "0"),
+        (["moments", "--z", "0.95", "--kind", "moduli"], "0"),
+        (["simulate", "--z", "0.95"], "0"),
+        (["two-point", "--z2", "0.95"], "0"),
+        (["log-coeffs", "--radius", "0.95"], "0"),
+        (["diagnose", "--z", "0.95", "--T-list", "0.05"], "0"),
+    ])
+    def test_point_outside_r_max_is_1(self, argv, n_samples, tmp_path, capsys):
+        # whatever the ensemble size, and a NaN point as well, without a
+        # NumPy warning from the flow
+        out = tmp_path / "out.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(argv + ["--n-samples", n_samples, "--T", "0.1", "--dt", "0.01",
+                               "--output", str(out)]) == 1
+        assert capsys.readouterr().err == "error: all |z| must be <= r_max=0.9\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("bound", ["--r-min=nan", "--r-max=nan"])
+    def test_means_scan_nan_radius_is_1(self, bound, tmp_path, capsys):
+        out = tmp_path / "out.csv"
+        assert run(["means-scan", bound, "--output", str(out)]) == 1
+        assert capsys.readouterr().err == "error: r_grid must be increasing and inside (0, 1)\n"
+        assert not out.exists()
 
     def test_check_all_pass_exit_0(self, tmp_path):
         out = tmp_path / "r.json"
@@ -657,11 +706,17 @@ class TestOtherCommands:
 
     def test_universal(self, tmp_path):
         out = tmp_path / "u.csv"
-        code = run(["universal", "--resolution", "9", "--no-header",
-                    "--output", str(out)])
-        assert code == 0
-        _, rows = read_table(out)
-        assert {r["curve"] for r in rows} == {"tip", "bulk", "lin"}
+        for n in (0, 1, 9, 25):
+            code = run(["universal", "--resolution", str(n), "--no-header",
+                        "--output", str(out)])
+            assert code == 0
+            cols, rows = read_table(out)
+            assert cols == ["curve", "p", "q", "B", "feng_mcgregor"]
+            assert [r["curve"] for r in rows] == ["tip"] * n + ["bulk"] * n + ["lin"] * n
+            for r in rows:
+                p, q = float(r["p"]), float(r["q"])
+                assert float(r["B"]) == spectrum.universal_B(p, q)
+                assert r["feng_mcgregor"] == str(int(spectrum.feng_mcgregor_domain(p, q)))
 
     def test_diagnose(self, tmp_path):
         out = tmp_path / "d.csv"
@@ -674,18 +729,9 @@ class TestOtherCommands:
         assert len(rows) == 2
 
 
-# one value of each kind _emit must write: floats as repr(float(v)), integers
-# as str(int(v)), anything else as str(v)
-_MIXED = [np.float64(0.1), np.float32(0.1), 0.1, 3, np.int64(-7), "IV", float("nan"),
-          float("inf"), -np.inf, -0.0, 5e-324, np.float64(2.5e-310), np.uint8(200), True]
-
-
 def _expected_text(v):
-    if isinstance(v, (float, np.floating)):
-        return repr(float(v))
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
-    return str(v)
+    """A cell's text: repr of a float, str of anything else (a bool reads True)."""
+    return repr(float(v)) if isinstance(v, (float, np.floating)) else str(v)
 
 
 def _reference_csv(columns, rows):
@@ -703,8 +749,6 @@ def _reference_json(columns, rows):
 
 
 def _row_tuples(rows):
-    if not isinstance(rows, cli._Table):
-        return list(rows)
     columns = rows.block(0, len(rows))
     return [tuple(c if np.isscalar(c) else c[i] for c in columns) for i in range(len(rows))]
 
@@ -717,9 +761,10 @@ class TestEmit:
         return out.read_text()
 
     def tables(self):
-        """The same rows as row tuples and as column arrays with scalars."""
-        cols = ("f64", "f32", "py", "i", "i64", "s", "mixed", "k")
-        n = len(_MIXED)
+        """The same rows as row tuples and as a table of columns, one of them
+        a scalar."""
+        cols = ("f64", "f32", "py", "i", "i64", "s", "b", "k")
+        n = 14
         f64 = np.array([0.1, -0.0, np.nan, np.inf, -np.inf, 5e-324, 1e300, 2.5e-310,
                         1 / 3, -2.0, 7.0, 0.0, 123456789.125, 1e-7])
         f32 = np.array([0.3, -0.0, np.nan, np.inf, -np.inf, 1e-45, 3e38, 1e-40,
@@ -728,27 +773,24 @@ class TestEmit:
         ints = list(range(-5, n - 5))
         i64 = np.arange(n, dtype=np.int64) * 10**15
         strs = np.array(["I", "II", "III", "IV", "", "x"] * 3)[:n]
-        table = cli._Table(f64, f32, py, ints, i64, strs, _MIXED, 6.0)
-        rows = [tuple(c[i] for c in (f64, f32, py, ints, i64, strs, _MIXED)) + (6.0,)
+        bools = np.arange(n) % 3 == 0
+        table = cli._Table(f64, f32, py, ints, i64, strs, bools, 6.0)
+        rows = [tuple(c[i] for c in (f64, f32, py, ints, i64, strs, bools)) + (6.0,)
                 for i in range(n)]
         return cols, table, rows
 
     def test_csv_text(self, tmp_path):
         cols, table, rows = self.tables()
-        text = _reference_csv(cols, rows)
-        assert self.emit(tmp_path, "csv", cols, rows) == text
-        assert self.emit(tmp_path, "csv", cols, table) == text
+        assert self.emit(tmp_path, "csv", cols, table) == _reference_csv(cols, rows)
 
     def test_json_text(self, tmp_path):
         cols, table, rows = self.tables()
-        text = _reference_json(cols, rows)
-        assert self.emit(tmp_path, "json", cols, rows) == text
-        assert self.emit(tmp_path, "json", cols, table) == text
+        assert self.emit(tmp_path, "json", cols, table) == _reference_json(cols, rows)
 
     def test_empty_table(self, tmp_path):
-        assert self.emit(tmp_path, "csv", ("a", "b"), []) == \
+        assert self.emit(tmp_path, "csv", ("a", "b"), cli._Table([], [])) == \
             f"# {cli.SCHEMA_VERSION}: a,b\na,b\n"
-        assert self.emit(tmp_path, "json", ("a",), []) == json.dumps(
+        assert self.emit(tmp_path, "json", ("a",), cli._Table([])) == json.dumps(
             {"schema": cli.SCHEMA_VERSION, "columns": ["a"], "rows": []}, indent=2) + "\n"
 
     def test_rows_span_blocks(self, tmp_path, monkeypatch):
@@ -757,14 +799,12 @@ class TestEmit:
         text = self.emit(tmp_path, "csv", ("x", "m"), cli._Table(x, 2))
         assert text.splitlines()[2:] == [f"{v!r},2" for v in x.tolist()]
         cols, table, rows = self.tables()
-        text = _reference_json(cols, rows)
-        assert self.emit(tmp_path, "json", cols, rows) == text
-        assert self.emit(tmp_path, "json", cols, table) == text
+        assert self.emit(tmp_path, "json", cols, table) == _reference_json(cols, rows)
 
     def test_json_generated_is_the_last_key(self, tmp_path):
         out = tmp_path / "t.json"
         cli._emit(argparse.Namespace(output=str(out), format="json", no_header=False),
-                  ("a", "b"), [(0.5, "x")])
+                  ("a", "b"), cli._Table([0.5], ["x"]))
         text = out.read_text()
         payload = json.loads(text)
         assert list(payload) == ["schema", "columns", "rows", "generated"]
@@ -777,7 +817,7 @@ def _nan(bits):
 
 class TestDistinctValueFormatting:
     """``_emit`` formats each distinct value of an array column once; the
-    text must still be what ``_fmt`` writes for every cell."""
+    text must still be what ``_expected_text`` writes for every cell."""
 
     def check(self, tmp_path, columns, table, header=False):
         rows = _row_tuples(table)
@@ -837,7 +877,8 @@ class TestDistinctValueFormatting:
         x = np.array([0.1, -0.0, 0.0, 0.1, 0.1, 0.0, -0.0, 0.1, 0.1, 0.0, 7.0])
         s = np.array(["a", "b", "a", "b", "a", "b", "a", "b", "a", "b", "a"])
         self.check(tmp_path, ("x", "s", "m"), cli._Table(x, s, 2))
-        self.check(tmp_path, ("x", "s", "m"), [(a, b, 2) for a, b in zip(x, s)])
+        # as the Monte Carlo handlers pass their rows
+        self.check(tmp_path, ("x", "s", "m"), cli._Table(*zip(*[(a, b, 2) for a, b in zip(x, s)])))
 
     def test_all_distinct_column(self, tmp_path, monkeypatch):
         monkeypatch.setattr(cli, "_BLOCK_ROWS", 64)
@@ -847,7 +888,7 @@ class TestDistinctValueFormatting:
     @pytest.mark.parametrize("header", [False, True])
     def test_empty_table(self, tmp_path, header):
         self.check(tmp_path, ("a", "b"), cli._Table(np.array([]), 2.0), header=header)
-        self.check(tmp_path, ("a", "b"), [], header=header)
+        self.check(tmp_path, ("a", "b"), cli._Table([], []), header=header)
 
     def test_header_with_rows(self, tmp_path):
         self.check(tmp_path, ("a", "b"), cli._Table(np.array([0.5, 0.5, -0.0]), "x"),
@@ -910,7 +951,7 @@ def _whole_phase_diagram(kappa, m, n, curve_points):
         cp, cq = spectrum.mfold_map_inv(m)(*spectrum.curve_eval(cid, kappa, t))
         curves += zip([cid] * len(t), t, np.broadcast_to(cp, t.shape), cq)
     return [(cli._SPEC_COLS, cli._Table(p, q, kappa, m, res.region, res.beta), ""),
-            (("curve", "param", "p", "q"), curves, "curves")]
+            (("curve", "param", "p", "q"), cli._Table(*zip(*curves)), "curves")]
 
 
 def _whole_xy_geometry(kappa, n):

@@ -2,6 +2,7 @@
 
 import threading
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -196,6 +197,16 @@ class TestEvolve:
         cfg = small_cfg()
         with pytest.raises(DomainError):
             evolve(constant_driver(cfg), cfg, [0.95])
+
+    @pytest.mark.parametrize("point", [complex("nan"), complex(0.1, float("nan"))])
+    def test_nan_point_rejected(self, point):
+        # NaN compares false with r_max: the point is rejected before the
+        # flow warns on it
+        cfg = small_cfg()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match=r"all \|z\| must be <= r_max=0.9"):
+                evolve(constant_driver(cfg), cfg, [0.2, point])
 
     def test_short_driver_rejected(self):
         cfg = small_cfg()
@@ -608,6 +619,14 @@ class TestSamples:
     def test_bad_worker_count_rejected(self, workers):
         with pytest.raises(ConfigError, match="workers must be >= 1"):
             sample_ensemble(small_cfg(), [0.2], 5, workers=workers)
+
+    @pytest.mark.parametrize("point, n_samples", [(0.95, 0), (complex("nan"), 0),
+                                                  (complex("nan"), 1), (complex(0.1, np.nan), 3)])
+    def test_points_checked_whatever_the_ensemble_size(self, point, n_samples):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match=r"all \|z\| must be <= r_max=0.9"):
+                sample_ensemble(small_cfg(), [0.2, point], n_samples)
 
     def test_empty_ensemble(self):
         cfg = small_cfg()

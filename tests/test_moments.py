@@ -360,6 +360,12 @@ class TestMeansScan:
         with pytest.raises(DomainError):
             integral_means_scan("closed", 2.0, 2.0, 2.0, [0.5, 0.4])
 
+    @pytest.mark.parametrize("r_grid", [[np.nan] * 4, [0.5, np.nan, 0.7, 0.8],
+                                        [0.5, 0.6, 0.7, np.nan]])
+    def test_nan_radius_rejected(self, r_grid):
+        with pytest.raises(DomainError, match=r"r_grid must be increasing and inside \(0, 1\)"):
+            integral_means_scan("closed", 1.75, 1.5, 6.0, r_grid)
+
     @pytest.mark.parametrize("r_grid", [[], [0.5], [0.5, 0.6]])
     def test_short_grid_rejected(self, r_grid):
         # the slope is fitted over the top half of the grid; the length is

@@ -1,5 +1,7 @@
 """Tests for the exact spectrum, phase diagram, and universal partition."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -445,6 +447,29 @@ class TestUniversal:
         assert sp.feng_mcgregor_domain(2.0, 1.0)
         assert not sp.feng_mcgregor_domain(-1.0, -3.0)   # needs p >= 0
         assert not sp.feng_mcgregor_domain(2.0, 2.5)     # q >= 2 excluded
+
+    def test_array_calls_equal_scalar_calls(self):
+        p, q = (c.ravel() for c in np.meshgrid(
+            np.concatenate([np.linspace(-7, 7, 57), [-6, -2, -0.0, 2, 6, -1e300, 1e300]]),
+            np.linspace(-9, 9, 37), indexing="ij"))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            bounded = sp.universal_bounded(p)
+            big_b = sp.universal_B(p, q)
+            domain = sp.feng_mcgregor_domain(p, q)
+        assert bounded.shape == big_b.shape == domain.shape == p.shape
+        assert domain.dtype == bool
+        for i in range(p.size):
+            assert bounded[i] == sp.universal_bounded(p[i])
+            assert big_b[i] == sp.universal_B(p[i], q[i])
+            assert domain[i] == sp.feng_mcgregor_domain(p[i], q[i])
+        # the branches of the closed forms, written out
+        tip, lin, bulk = p <= -2, p >= 2, (-2 < p) & (p < 2)
+        assert np.array_equal(bounded[tip], -p[tip] - 1)
+        assert np.array_equal(bounded[lin], p[lin] - 1)
+        assert np.array_equal(bounded[bulk], p[bulk] ** 2 / 4)
+        assert np.array_equal(big_b, np.maximum(bounded, 3 * p - 2 * q - 1))
+        assert np.array_equal(domain, (p >= 0) & (q < 2) & (q < 1.25 * p - 0.5))
 
     def test_koebe_limit(self):
         lim = sp.koebe_limit_partition()

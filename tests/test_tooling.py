@@ -110,6 +110,12 @@ _CLI_CALLS = [
     ["universal", "--resolution", "8"],
     ["means-scan", "--kappa", "6", "--p", "1.75", "--q", "1.5", "--n-r", "5"],
     ["moments", "--kappa", "2", "--z", "0.3", "--n-samples", "2", "--dt", "0.1", "--T", "0.5"],
+    ["simulate", "--kappa", "2", "--z", "0.3", "--n-samples", "2", "--dt", "0.1", "--T", "0.5"],
+    ["two-point", "--kappa", "2", "--n-samples", "2", "--dt", "0.1", "--T", "0.5"],
+    ["log-coeffs", "--kappa", "2", "--fft-size", "8", "--n-max", "3", "--n-samples", "2",
+     "--dt", "0.1", "--T", "0.5"],
+    ["diagnose", "--kappa", "2", "--z", "0.3", "--n-samples", "2", "--dt", "0.1",
+     "--T-list", "0.5"],
 ]
 
 
@@ -125,10 +131,13 @@ print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
 
 
 def test_cli_runs_without_scipy(tmp_path):
-    # a fresh interpreter, so that no test module has imported SciPy yet
+    # a fresh interpreter, so that no test module has imported SciPy yet, in
+    # which a NumPy RuntimeWarning is an error; one call of every subcommand
+    assert {argv[0] for argv in _CLI_CALLS} == set(cli._COMMANDS)
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC.parent), env.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-c", _SCRIPT, json.dumps(_CLI_CALLS), str(tmp_path)],
+    proc = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-c", _SCRIPT,
+                           json.dumps(_CLI_CALLS), str(tmp_path)],
                           capture_output=True, text=True, env=env, timeout=300)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
