@@ -118,24 +118,15 @@ def _text_blocks(rows, sep, end, last, enc=None):
         yield "".join(cells.ravel().tolist())
 
 
-def _json_array(items, depth):
-    """A list of encoded JSON values as ``json.dump(indent=2)`` writes it at
-    nesting ``depth``."""
-    items = list(items)
-    if not items:
-        return "[]"
-    pad = "\n" + "  " * depth
-    return "[" + pad + "  " + ("," + pad + "  ").join(items) + pad + "]"
-
-
 def _write_json(fh, columns, rows, generated):
     """The text of ``json.dump(payload, fh, indent=2)`` for the payload
-    {"schema", "columns", "rows" (each row a list of cell strings) and,
-    when given, "generated"}, written a block of rows at a time."""
+    {"schema", "columns" (never empty), "rows" (each row a list of cell
+    strings) and, when given, "generated"}, written a block of rows at a time."""
     enc = json.encoder.encode_basestring_ascii
     cell = "\n      "   # the indent=2 break before a cell of a row
+    names = ",\n    ".join(map(enc, columns))
     fh.write(f'{{\n  "schema": {enc(SCHEMA_VERSION)},\n'
-             f'  "columns": {_json_array(map(enc, columns), 1)},\n  "rows": ['
+             f'  "columns": [\n    {names}\n  ],\n  "rows": ['
              + (f"\n    [{cell}" if len(rows) else "]"))
     for text in _text_blocks(rows, f",{cell}", f"\n    ],\n    [{cell}", "\n    ]\n  ]", enc):
         fh.write(text)
@@ -223,7 +214,7 @@ _MOMENT_COLS = ("z_re", "z_im", "p", "q", "kappa", "estimate_re", "estimate_im",
 def _closed_or_nan(kind, z, z2, kappa, p, q):
     try:
         g = moments.parabola_gamma_from_pq(kappa, p, q)
-    except (DomainError, ConfigError):
+    except DomainError:
         return complex(np.nan, np.nan)
     if kind == "complex":
         return complex(moments.closed_one_point(z, kappa, g))
@@ -274,11 +265,8 @@ def _cmd_log_coeffs(args):
 
 def _cmd_means_scan(args):
     r_grid = np.linspace(args.r_min, args.r_max, args.n_r)
-    scan = moments.integral_means_scan("closed", args.p, args.q,
-                                       args.kappa, r_grid,
-                                       angular_M=args.angular_m)
-    beta = scan.beta if scan.beta is not None else float("nan")
-    _emit(args, ("r", "integral", "beta"), _Table(scan.r_grid, scan.integrals, beta))
+    scan = moments.integral_means_scan("closed", args.p, args.q, args.kappa, r_grid)
+    _emit(args, ("r", "integral", "beta"), _Table(scan.r_grid, scan.integrals, scan.beta))
     return 0
 
 
@@ -407,7 +395,6 @@ _FLAGS = {
     "r-min": ({"type": float}, 0.5),
     "r-max": ({"type": float}, 0.99),
     "n-r": ({"type": int}, 40),
-    "angular-m": ({"type": int}, 512),
     "m": ({"type": int}, 1),
     "resolution": ({"type": int}, 400),
     "curve-points": ({"type": int}, 200),
@@ -441,7 +428,7 @@ _COMMANDS = {
     "log-coeffs": ("logarithmic coefficient statistics", "_cmd_log_coeffs",
                    (*_SIM, "radius", "fft-size", "n-max", *_OUT)),
     "means-scan": ("integral means growth scan", "_cmd_means_scan",
-                   ("kappa", "p", "q", "r-min", "r-max", "n-r", "angular-m", *_OUT)),
+                   ("kappa", "p", "q", "r-min", "r-max", "n-r", *_OUT)),
     "spectrum": ("spectrum value and region at points", "_cmd_spectrum",
                  ("kappa", "p+", "q+", "m", *_OUT)),
     "phase-diagram": ("region grid and separatrix curves", "_cmd_phase_diagram",

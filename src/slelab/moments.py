@@ -189,9 +189,11 @@ class LogCoeffStats:
 
 
 def circle_points(r, M):
-    """The M points r exp(2 pi i j / M), j = 0, ..., M - 1, for M >= 1 and r > 0."""
-    if not (M >= 1 and r > 0):
-        raise DomainError(f"a circle needs M >= 1 points and radius r > 0, got M={M}, r={r}")
+    """The M points r exp(2 pi i j / M), j = 0, ..., M - 1, for M >= 1 and
+    finite r > 0."""
+    if not (M >= 1 and 0 < r < np.inf):   # NaN fails
+        raise DomainError(f"a circle needs M >= 1 points and a finite radius r > 0, "
+                          f"got M={M}, r={r}")
     return r * np.exp(2j * np.pi * np.arange(M) / M)
 
 
@@ -217,8 +219,7 @@ def extract_log_coeffs(sample: WholePlaneSample, n_max: int) -> LogCoeffStats:
     if not np.allclose(sample.z, circle_points(r, M), atol=1e-10):
         raise DomainError("sample points must be a uniform circle r * exp(2 pi i j / M)")
 
-    with np.errstate(divide="ignore"):
-        vals = (sample.logf - np.log(sample.z)) / 2.0   # sum_n gamma_n z^n per sample
+    vals = (sample.logf - np.log(sample.z)) / 2.0   # sum_n gamma_n z^n per sample
     coeffs = np.fft.fft(vals, axis=1) / M               # (n_samples, M)
     n = np.arange(1, n_max + 2)
     gam = coeffs[:, 1 : n_max + 2] * r ** (-n.astype(float))
@@ -300,24 +301,29 @@ def mfold_identity_check(sample: WholePlaneSample, m: int, z, p, q) -> float:
 
 
 _RING_CHUNK = 1 << 13   # points of a ring evaluated at a time by integral_means_scan
+_RING_POINTS = 512      # fewest points of a ring; rings near r = 1 take 16 / (1 - r)
 
 
 @dataclass(frozen=True)
 class MeansScan:
+    """The angular integral at each radius of ``r_grid`` and the fitted
+    growth exponent beta; both are NaN where the integral diverges."""
     r_grid: np.ndarray
     integrals: np.ndarray
-    beta: float | None
-    tip_dominated: bool = False
+    beta: float
 
 
-def integral_means_scan(integrand, p, q, kappa, r_grid, angular_M=512) -> MeansScan:
+def integral_means_scan(integrand, p, q, kappa, r_grid) -> MeansScan:
     """Angular integrals of a moment integrand over circles, with a slope fit.
 
     ``integrand`` is either the string ``"closed"`` (usable when (p, q)
     lies on the integrability parabola) or an elementwise callable z ->
-    E-values, called on chunks of each ring's points.  The growth exponent
-    beta is fitted by least squares of log(integral) against -log(1 - r^2)
-    over the top half of ``r_grid``, so the fit needs at least 3 radii.
+    E-values, called on chunks of each ring's points.  A ring of radius r
+    takes max(512, 16 / (1 - r)) equally spaced points.  The growth
+    exponent beta is fitted by least squares of log(integral) against
+    -log(1 - r^2) over the top half of ``r_grid``, so the fit needs at
+    least 3 radii.  The closed integrand diverges when 2 gamma <= -1 (the
+    tip dominates); the integrals and beta are then NaN.
     """
     r_grid = np.asarray(r_grid, dtype=float)
     if not (np.all(np.diff(r_grid) > 0) and np.all((r_grid > 0) & (r_grid < 1))):   # NaN fails
@@ -332,7 +338,7 @@ def integral_means_scan(integrand, p, q, kappa, r_grid, angular_M=512) -> MeansS
         gamma = parabola_gamma_from_pq(kappa, p, q)
         if 2 * gamma <= -1:
             return MeansScan(r_grid=r_grid, integrals=np.full_like(r_grid, np.nan),
-                             beta=None, tip_dominated=True)
+                             beta=np.nan)
 
         def func(zz):
             return closed_moduli(zz, kappa, gamma) / np.abs(zz) ** q
@@ -341,7 +347,7 @@ def integral_means_scan(integrand, p, q, kappa, r_grid, angular_M=512) -> MeansS
 
     def one_ring(r):
         # resolve the angular feature of width ~(1 - r) near theta = 0
-        M = max(angular_M, int(16.0 / (1.0 - r)))
+        M = max(_RING_POINTS, int(16.0 / (1.0 - r)))
         values = np.empty(M)   # filled a chunk at a time, summed once as a whole
         for lo in range(0, M, _RING_CHUNK):
             ring = np.exp(2j * np.pi * np.arange(lo, min(lo + _RING_CHUNK, M)) / M)

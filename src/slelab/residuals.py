@@ -34,21 +34,25 @@ __all__ = [
 _H = 1e-4
 
 
-def _order_estimate(residual_at):
-    """Observed convergence order from the residuals at steps 4e-3 and 2e-3,
-    steps large enough that truncation error dominates roundoff.
-    ``residual_at(step)`` returns the absolute residual.
-    """
-    r_fine = residual_at(2e-3)
-    if r_fine == 0:
-        return np.inf
-    return float(np.log2(residual_at(4e-3) / r_fine))
-
-
 def _report(check, inputs, residual, passed, order_estimate=None):
     """A check's report dict; every check writes these keys in this order."""
     return {"check": check, "inputs": inputs, "residual": residual,
             "order_estimate": order_estimate, "pass": bool(passed)}
+
+
+def _operator_report(check, inputs, at):
+    """The report of an operator check: ``at(step)`` returns the operator's
+    (value, scale) at a difference step.  It passes when |value| / scale <
+    1e-6 at step ``_H``; the observed convergence order comes from the
+    residuals at steps 4e-3 and 2e-3, steps large enough that truncation
+    error dominates roundoff, and is infinite when the finer one is 0.
+    """
+    value, scale = at(_H)
+    residual = abs(value)
+    fine = abs(at(2e-3)[0])
+    order = np.inf if fine == 0 else float(np.log2(abs(at(4e-3)[0]) / fine))
+    return _report(check, {**inputs, "h": _H, "scale": scale}, residual,
+                   residual / scale < 1e-6, order)
 
 
 def _coeff_A(kappa, p, q, alpha):
@@ -125,12 +129,9 @@ def ode_residual(kappa, gamma, z):
         raise DomainError(
             f"integrand fails the holomorphy probe at z={z} (CR mismatch {cr:.2e})"
         )
-    res, scale = _apply_P(G, z, kappa, p, q, _H)
-    r1 = abs(res)
-    order = _order_estimate(lambda hh: abs(_apply_P(G, z, kappa, p, q, hh)[0]))
-    return _report("one_point_ode", {"kappa": kappa, "gamma": gamma, "z": [z.real, z.imag],
-                                     "h": _H, "scale": scale},
-                   r1, r1 / scale < 1e-6, order)
+    return _operator_report("one_point_ode", {"kappa": kappa, "gamma": gamma,
+                                              "z": [z.real, z.imag]},
+                            lambda hh: _apply_P(G, z, kappa, p, q, hh))
 
 
 # ---------------------------------------------------------------------------
@@ -159,14 +160,11 @@ def pde_residual(kappa, gamma, z1, z2):
         t1 = _apply_P(lambda w: G(w, z2b), z1, kappa, p, q, hh)[0]
         t2 = _apply_P(lambda w: G(z1, w), z2b, kappa, p, q, hh)[0]
         tc = _cross_term(G, z1, z2b, kappa, hh)
-        return abs(t1 + t2 + tc), max(abs(t1) + abs(t2) + abs(tc), 1.0)
+        return t1 + t2 + tc, max(abs(t1) + abs(t2) + abs(tc), 1.0)
 
-    r1, scale = at(_H)
-    order = _order_estimate(lambda hh: at(hh)[0])
-    return _report("two_point_pde", {"kappa": kappa, "gamma": gamma, "z1": [z1.real, z1.imag],
-                                     "z2": [complex(z2).real, complex(z2).imag],
-                                     "h": _H, "scale": scale},
-                   r1, r1 / scale < 1e-6, order)
+    return _operator_report("two_point_pde", {"kappa": kappa, "gamma": gamma,
+                                              "z1": [z1.real, z1.imag],
+                                              "z2": [complex(z2).real, complex(z2).imag]}, at)
 
 
 # ---------------------------------------------------------------------------
@@ -215,12 +213,9 @@ def moduli_residual(kappa, gamma, z):
         raise DomainError("z must lie in the unit disk")
     p, q = parabola_point(kappa, gamma)
     F = lambda x, y: closed_moduli(x + 1j * y, kappa, gamma)
-    res, scale = _moduli_operator(F, z, kappa, p, q, _H)
-    r1 = abs(res)
-    order = _order_estimate(lambda hh: abs(_moduli_operator(F, z, kappa, p, q, hh)[0]))
-    return _report("moduli_pde", {"kappa": kappa, "gamma": gamma, "z": [z.real, z.imag],
-                                  "h": _H, "scale": scale},
-                   r1, r1 / scale < 1e-6, order)
+    return _operator_report("moduli_pde", {"kappa": kappa, "gamma": gamma,
+                                           "z": [z.real, z.imag]},
+                            lambda hh: _moduli_operator(F, z, kappa, p, q, hh))
 
 
 def moduli_residual_gform(kappa, gamma, z):
@@ -234,14 +229,15 @@ def moduli_residual_gform(kappa, gamma, z):
         w = x + 1j * y
         return closed_moduli(w, kappa, gamma) / abs(w) ** q
 
-    # the divided-out form has much larger radial curvature, so the h^2
-    # truncation term is removed by Richardson extrapolation before testing
-    res_h, scale = _moduli_operator(G, z, kappa, p, q, _H, reduced_potential=True)
-    res_2h, _ = _moduli_operator(G, z, kappa, p, q, 2 * _H, reduced_potential=True)
-    r1 = abs((4 * res_h - res_2h) / 3)
-    return _report("moduli_pde_gform", {"kappa": kappa, "gamma": gamma, "z": [z.real, z.imag],
-                                        "h": _H, "scale": scale},
-                   r1, r1 / scale < 1e-6)
+    def at(hh):
+        # the divided-out form has much larger radial curvature, so the h^2
+        # truncation term is removed by Richardson extrapolation before testing
+        res_h, scale = _moduli_operator(G, z, kappa, p, q, hh, reduced_potential=True)
+        res_2h, _ = _moduli_operator(G, z, kappa, p, q, 2 * hh, reduced_potential=True)
+        return (4 * res_h - res_2h) / 3, scale
+
+    return _operator_report("moduli_pde_gform", {"kappa": kappa, "gamma": gamma,
+                                                 "z": [z.real, z.imag]}, at)
 
 
 # ---------------------------------------------------------------------------

@@ -147,6 +147,15 @@ class TestConfigFile:
         bad.write_text("not json")
         assert run(["spectrum", "--p", "0", "--q", "0", "--config", str(bad)]) == 1
 
+    def test_config_list_is_1(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps([{"kappa": 6.0}]))
+        out = tmp_path / "out.csv"
+        assert run(["spectrum", "--p", "0", "--q", "0", "--config", str(cfg),
+                    "--output", str(out)]) == 1
+        assert capsys.readouterr().err == "error: config file must hold a JSON object\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("command,key", [("spectrum", "workers"), ("universal", "kappa"),
                                              ("check", "format"), ("means-scan", "integrand"),
                                              ("xy-geometry", "no-such-flag")])
@@ -169,6 +178,18 @@ class TestExitCodes:
     def test_unparseable_z_is_1(self):
         assert run(["moments", "--z", "fish", "--n-samples", "2"]) == 1
 
+    def test_numerical_failure_is_2(self, tmp_path, capsys, monkeypatch):
+        def singular(*args, **kwargs):
+            raise flow.SingularityError("flow point collided with the driving singularity "
+                                        "at t=0.5")
+
+        monkeypatch.setattr(flow, "sample_ensemble", singular)
+        out = tmp_path / "out.csv"
+        assert run(["moments", "--z", "0.5", "--output", str(out)]) == 2
+        assert capsys.readouterr().err == ("numerical failure: flow point collided with the "
+                                           "driving singularity at t=0.5\n")
+        assert not out.exists()
+
     def test_diagnose_second_point_is_1(self, tmp_path, capsys):
         out = tmp_path / "d.csv"
         assert run(["diagnose", "--kappa", "2", "--z", "0.3", "--z", "0.4", "--n-samples", "10",
@@ -185,10 +206,18 @@ class TestExitCodes:
         (["moments", "--n-samples", "4", "--workers", "0", "--z", "0.5"], "workers must be >= 1"),
         (["moments", "--n-samples", "4", "--workers", "-3", "--z", "0.5"], "workers must be >= 1"),
         (["diagnose", "--n-samples", "0", "--workers", "0", "--z", "0.5"], "workers must be >= 1"),
+        *((["log-coeffs", "--n-samples", "4", f"--radius={r}"],
+           f"a circle needs M >= 1 points and a finite radius r > 0, got M=32, r={r}")
+          for r in ("inf", "nan")),
+        (["simulate", "--n-samples", "2"], "simulate requires at least one --z point"),
+        (["moments", "--n-samples", "2"], "moments requires at least one --z point"),
     ])
     def test_bad_ensemble_or_circle_is_1(self, argv, message, tmp_path, capsys):
+        # rejected before any arithmetic on them, so without a NumPy warning
         out = tmp_path / "out.csv"
-        assert run(argv + ["--T", "0.1", "--dt", "0.01", "--output", str(out)]) == 1
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(argv + ["--T", "0.1", "--dt", "0.01", "--output", str(out)]) == 1
         assert capsys.readouterr().err.startswith(f"error: {message}")
         assert not out.exists()
 
@@ -407,6 +436,7 @@ _NOT_TAKEN = [
     ["check", "--format", "csv"],
     ["simulate", "--format", "json", "--z", "0.5"],
     ["means-scan", "--integrand", "mc"],
+    ["means-scan", "--angular-m", "5"],
     ["universal", "--p-dagger", "3"],
     *([command, flag, "1"] for command in ("spectrum", "phase-diagram", "xy-geometry",
                                           "universal", "means-scan")

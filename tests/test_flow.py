@@ -459,6 +459,25 @@ class TestSubsteps:
         assert states.w.shape == states.logderiv.shape == (0, 1)
         assert states.substeps == cfg.n_steps
 
+    def test_rejected_substep_names_its_time(self, monkeypatch):
+        # the point at |z| = 0.97 is split near its driving point lam = 1;
+        # a second sub-step that doubles |w| is rejected at its own time,
+        # inside the first macro step
+        calls = []
+        original = flow._rk4_substep
+
+        def growing(*args):
+            calls.append(None)
+            w, ld, lr = original(*args)
+            return (2 * w if len(calls) == 3 else w), ld, lr
+
+        monkeypatch.setattr(flow, "_rk4_substep", growing)
+        cfg = small_cfg(r_max=0.99)
+        with pytest.raises(flow.SingularityError, match=r"\|w\| failed to decrease") as exc:
+            evolve(constant_driver(cfg), cfg, [0.97])
+        t = float(str(exc.value).split("t=")[1].split(";")[0])
+        assert len(calls) == 3 and 0 < t < cfg.dt
+
     def test_collision_names_its_time(self, monkeypatch):
         # a floor above 1 - |z| makes the first sub-step a collision
         monkeypatch.setattr(flow, "_W_LAMBDA_FLOOR", 0.05)

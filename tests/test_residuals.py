@@ -101,6 +101,13 @@ class TestPDEResiduals:
         rep = rs.moduli_residual_gform(6.0, 0.5, 0.3 + 0.2j)
         assert rep["pass"]
 
+    @pytest.mark.parametrize("kappa", [0.5, 2.0, 6.0, 8.0, 30.0])
+    def test_moduli_gform_order_after_extrapolation(self, kappa):
+        # Richardson extrapolation removes the h^2 term, so the order is 4
+        rep = rs.moduli_residual_gform(kappa, 1 / kappa + 0.25, 0.3 + 0.2j)
+        assert rep["pass"]
+        assert 3.8 <= rep["order_estimate"] <= 4.2
+
     def test_moduli_grid(self):
         for z in 0.4 * np.exp(1j * np.linspace(0.1, 2 * np.pi, 20, endpoint=False)):
             assert rs.moduli_residual(2.0, 1.0, z)["pass"]
@@ -110,6 +117,8 @@ class TestPDEResiduals:
             rs.pde_residual(6.0, 0.5, 1.5, 0.2)
         with pytest.raises(DomainError):
             rs.moduli_residual(6.0, 0.5, -1.1)
+        with pytest.raises(DomainError, match="punctured unit disk"):
+            rs.moduli_residual_gform(6.0, 0.5, 0.0)
 
 
 class TestSeedSystems:
@@ -172,6 +181,15 @@ class TestSeedSystems:
 
 
 class TestReportFormat:
+    def test_operator_report(self):
+        # an exactly zero residual at the finer order step gives order inf
+        rep = rs._operator_report("c", {"kappa": 1.0},
+                                  lambda h: (0.0 if h == 2e-3 else -1j * h * h, 2.0))
+        assert rep == {"check": "c", "inputs": {"kappa": 1.0, "h": rs._H, "scale": 2.0},
+                       "residual": rs._H**2, "order_estimate": np.inf, "pass": True}
+        rep = rs._operator_report("c", {}, lambda h: (1e3 * h**2, 1.0))
+        assert abs(rep["order_estimate"] - 2.0) < 1e-12 and not rep["pass"]
+
     def test_run_all_checks_schema(self):
         for suite in rs.SUITES:
             reports = rs.run_all_checks(6.0, suite=suite)

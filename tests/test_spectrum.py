@@ -76,7 +76,8 @@ class TestSpecialPoints:
 
 
 class TestCurves:
-    @pytest.mark.parametrize("curve", ["redParabola", "greenParabola", "blueQuartic"])
+    @pytest.mark.parametrize("curve", ["redParabola", "greenParabola", "blueQuartic",
+                                       "D0", "D0prime", "Delta0", "D1", "Delta1"])
     @pytest.mark.parametrize("kappa", [2.0, 6.0, 50.0])
     def test_cartesian_residual_vanishes_on_curve(self, curve, kappa):
         lo = 1 + 2 / kappa if curve == "blueQuartic" else -1.0
@@ -91,6 +92,8 @@ class TestCurves:
     def test_unknown_curve(self):
         with pytest.raises(DomainError):
             sp.curve_eval("mauveSeptic", 6.0, 0.0)
+        with pytest.raises(DomainError, match="unknown curve id 'mauveSeptic'"):
+            sp.cartesian_residual("mauveSeptic", 6.0, 0.0, 0.0)
 
     def test_lower_boundary_segments_join(self):
         for kappa in (2.0, 6.0, 50.0):
