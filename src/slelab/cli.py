@@ -353,7 +353,7 @@ def _cmd_universal(args):
 def _cmd_check(args):
     reports = residuals.run_all_checks(args.kappa, suite=args.suite, seed=args.seed)
     with _open_output(args.output) as fh:
-        fh.write(json.dumps(reports, indent=2, default=float) + "\n")
+        fh.write(json.dumps(reports, indent=2) + "\n")
     return 0 if all(r["pass"] for r in reports) else 3
 
 

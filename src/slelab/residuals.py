@@ -1,21 +1,25 @@
-"""Finite-difference verification of the closed-form moment identities.
+"""Verification of the closed-form moment identities.
 
 Every closed-form moment used elsewhere in the package solves a linear
 ODE/PDE with a polynomial coefficient field.  This module re-derives the
 defining algebra (the A/B/C coefficient system, the boundary-exponent
 function and its duality) and applies the differential operators to the
-closed forms with central differences, reporting residuals and observed
-convergence orders.  The phase-diagram seed curves are also re-derived
-numerically from the coefficient system and compared against the exact
-parametrizations.
+closed forms.  The closed forms are holomorphic in z, and in (z1, conj z2)
+for the two-point forms, so their derivatives come from Cauchy integrals:
+the trapezoid rule on circles around the point gives them to machine
+precision anywhere in the disk, and the residuals are held to 1e-12.  The
+phase-diagram seed curves are also re-derived numerically from the
+coefficient system and compared against the exact parametrizations.
 """
 
 from __future__ import annotations
 
+from functools import reduce
+
 import numpy as np
 
 from .flow import DomainError
-from .moments import closed_moduli, closed_one_point, closed_two_point
+from .moments import closed_one_point, closed_two_point
 from . import spectrum as _spec
 from .spectrum import parabola_point
 
@@ -30,29 +34,13 @@ __all__ = [
     "run_all_checks",
 ]
 
-# central-difference step of every residual
-_H = 1e-4
+# points on each circle of the Cauchy integrals
+_M = 64
 
 
-def _report(check, inputs, residual, passed, order_estimate=None):
+def _report(check, inputs, residual, passed):
     """A check's report dict; every check writes these keys in this order."""
-    return {"check": check, "inputs": inputs, "residual": residual,
-            "order_estimate": order_estimate, "pass": bool(passed)}
-
-
-def _operator_report(check, inputs, at):
-    """The report of an operator check: ``at(step)`` returns the operator's
-    (value, scale) at a difference step.  It passes when |value| / scale <
-    1e-6 at step ``_H``; the observed convergence order comes from the
-    residuals at steps 4e-3 and 2e-3, steps large enough that truncation
-    error dominates roundoff, and is infinite when the finer one is 0.
-    """
-    value, scale = at(_H)
-    residual = abs(value)
-    fine = abs(at(2e-3)[0])
-    order = np.inf if fine == 0 else float(np.log2(abs(at(4e-3)[0]) / fine))
-    return _report(check, {**inputs, "h": _H, "scale": scale}, residual,
-                   residual / scale < 1e-6, order)
+    return {"check": check, "inputs": inputs, "residual": residual, "pass": bool(passed)}
 
 
 def _coeff_A(kappa, p, q, alpha):
@@ -90,154 +78,115 @@ def duality_check(kappa, p, gamma):
 
 
 # ---------------------------------------------------------------------------
-# ODE residual for the one-point moment
+# operator residuals from Cauchy-integral derivatives
 
 
-def _scaling_derivs(G, z, h):
-    """z d/dz and (z d/dz)^2 of a holomorphic G via log-variable differences."""
-    g = lambda u: G(z * np.exp(u))
-    d1 = (g(h) - g(-h)) / (2 * h)
-    d2 = (g(h) - 2 * g(0.0) + g(-h)) / h**2
-    return d1, d2
+def _taylor(G, centers, radii):
+    """Taylor coefficients d^n G / n! at ``centers`` for n_i <= 2, and a
+    holomorphy probe.
+
+    G is sampled on an ``_M``-point circle of radius ``radii[i]`` about
+    ``centers[i]`` in each variable.  The FFT of the samples is the
+    trapezoid rule for the Cauchy integrals, whose error falls like (radius
+    / distance to the nearest singularity)^_M.  The probe is the largest
+    coefficient at a negative frequency relative to the largest of all;
+    those coefficients vanish, up to roundoff, for a G holomorphic in each
+    variable.
+    """
+    u = np.exp(2j * np.pi * np.arange(_M) / _M)
+    axes = [z + r * u for z, r in zip(centers, radii)]
+    samples = G(*np.meshgrid(*axes, indexing="ij", sparse=True))
+    c = np.fft.fftn(np.broadcast_to(samples, (_M,) * len(axes))) / _M ** len(axes)
+    mag = np.abs(c)
+    peak = mag.max()
+    mag[(slice(_M // 2 + 1),) * len(axes)] = 0
+    share = mag.max() / peak
+    powers = reduce(np.multiply.outer, [r ** np.arange(3) for r in radii])
+    return c[(slice(3),) * len(axes)] / powers, share
 
 
-def _holomorphy_probe(G, z, h):
-    # Cauchy-Riemann check: z d/dz computed along radial and angular rays
-    # must agree for a holomorphic integrand
-    radial = (G(z * np.exp(h)) - G(z * np.exp(-h))) / (2 * h)
-    angular = (G(z * np.exp(1j * h)) - G(z * np.exp(-1j * h))) / (2j * h)
-    denom = max(abs(radial), abs(angular), 1.0)
-    return abs(radial - angular) / denom
+def _operator_report(check, inputs, kappa, gamma, G, points, reduced=False):
+    """The report of an operator check on G at one or two ``points``.
 
-
-def _apply_P(G, z, kappa, p, q, h):
-    d1, d2 = _scaling_derivs(G, z, h)
-    terms = (-(kappa / 2) * d2, -(1 + z) / (1 - z) * d1,
-             (-p / (1 - z) ** 2 + q / (1 - z) + p - q) * G(z))
-    return sum(terms), max(sum(abs(t) for t in terms), 1.0)
+    At one point z the operator is the moment ODE's P = -(kappa/2) D^2 -
+    (1+z)/(1-z) D + V(z), with D = z d/dz and V(z) = -p/(1-z)^2 + q/(1-z) +
+    p - q at (p, q) = parabola_point(kappa, gamma).  At (z1, w) = (z1, conj
+    z2) it is P in z1 plus P in w plus kappa D1 D2.  ``reduced`` is the
+    two-point operator on G / (z1 w)^{q/2}, whose V(z) is -p/(1-z)^2 + p - q/2.
+    The check passes when the residual |operator G| is below 1e-12 times
+    the scale, the sum of the terms' magnitudes (at least 1).
+    """
+    p, q = parabola_point(kappa, gamma)
+    # at most a quarter of the way to the nearest singularity: z_i = 1, z1 w = 1
+    # and, for the divided-out form, z_i = 0 (there a third of the way)
+    radii = [min(abs(1 - z) / 4, abs(1 - np.prod(points)) / 4,
+                 abs(z) / 3 if reduced else np.inf) for z in points]
+    a, share = _taylor(G, points, radii)
+    if share > 1e-12:
+        raise DomainError(f"integrand fails the holomorphy probe at {points} "
+                          f"(negative-frequency share {share:.2e})")
+    g = a.flat[0]
+    terms = []
+    for i, z in enumerate(points):
+        unit = np.eye(len(points), dtype=int)[i]
+        d1 = z * a[tuple(unit)]
+        d2 = d1 + 2 * z * z * a[tuple(2 * unit)]
+        pot = -p / (1 - z) ** 2 + (p - q / 2 if reduced else q / (1 - z) + p - q)
+        terms += [-(kappa / 2) * d2, -(1 + z) / (1 - z) * d1, pot * g]
+    if len(points) == 2:
+        terms.append(kappa * points[0] * points[1] * a[1, 1])
+    residual = abs(sum(terms))
+    scale = max(sum(abs(t) for t in terms), 1.0)
+    return _report(check, {**inputs, "scale": scale}, residual, residual / scale < 1e-12)
 
 
 def ode_residual(kappa, gamma, z):
     """Residual of the one-point moment ODE on (1 - z)^gamma at z."""
     z = complex(z)
-    if abs(z) >= 1 or z == 0:
-        raise DomainError("z must lie in the punctured unit disk")
-    p, q = parabola_point(kappa, gamma)
-    G = lambda w: closed_one_point(w, kappa, gamma)
-    cr = _holomorphy_probe(G, z, _H)
-    if cr > 1e-6:
-        raise DomainError(
-            f"integrand fails the holomorphy probe at z={z} (CR mismatch {cr:.2e})"
-        )
+    if not abs(z) < 1:
+        raise DomainError("z must lie in the unit disk")
     return _operator_report("one_point_ode", {"kappa": kappa, "gamma": gamma,
-                                              "z": [z.real, z.imag]},
-                            lambda hh: _apply_P(G, z, kappa, p, q, hh))
-
-
-# ---------------------------------------------------------------------------
-# PDE residual for the two-point moment
-
-
-def _cross_term(G, z1, z2b, kappa, h):
-    # kappa (z1 d1)(z2b d2b) via a centered cross difference in log variables
-    c = (G(z1 * np.exp(h), z2b * np.exp(h)) - G(z1 * np.exp(h), z2b * np.exp(-h))
-         - G(z1 * np.exp(-h), z2b * np.exp(h)) + G(z1 * np.exp(-h), z2b * np.exp(-h)))
-    return kappa * c / (4 * h**2)
+                                              "z": [z.real, z.imag]}, kappa, gamma,
+                            lambda w: closed_one_point(w, kappa, gamma), (z,))
 
 
 def pde_residual(kappa, gamma, z1, z2):
     """Residual of the two-point moment PDE at (z1, conj(z2))."""
-    z1 = complex(z1)
-    z2b = np.conj(complex(z2))
-    if abs(z1) >= 1 or abs(z2b) >= 1:
+    z1, z2 = complex(z1), complex(z2)
+    if not (abs(z1) < 1 and abs(z2) < 1):
         raise DomainError("both points must lie in the unit disk")
-    p, q = parabola_point(kappa, gamma)
-    G = lambda a, b: closed_two_point(a, b, kappa, gamma)
-
-    def at(hh):
-        # the one-variable operator in z1 and in conj(z2), each holding the
-        # other fixed; together their zero-order terms contribute 2p - 2q
-        t1 = _apply_P(lambda w: G(w, z2b), z1, kappa, p, q, hh)[0]
-        t2 = _apply_P(lambda w: G(z1, w), z2b, kappa, p, q, hh)[0]
-        tc = _cross_term(G, z1, z2b, kappa, hh)
-        return t1 + t2 + tc, max(abs(t1) + abs(t2) + abs(tc), 1.0)
-
     return _operator_report("two_point_pde", {"kappa": kappa, "gamma": gamma,
                                               "z1": [z1.real, z1.imag],
-                                              "z2": [complex(z2).real, complex(z2).imag]}, at)
-
-
-# ---------------------------------------------------------------------------
-# PDE residual for moduli moments (non-holomorphic, 2D stencils)
-
-
-def _stencil_2d(F, x, y, h):
-    """All second-order partials of F(x, y) from a 3x3 central stencil."""
-    v = {(i, j): F(x + i * h, y + j * h) for i in (-1, 0, 1) for j in (-1, 0, 1)}
-    Fx = (v[1, 0] - v[-1, 0]) / (2 * h)
-    Fy = (v[0, 1] - v[0, -1]) / (2 * h)
-    Fxx = (v[1, 0] - 2 * v[0, 0] + v[-1, 0]) / h**2
-    Fyy = (v[0, 1] - 2 * v[0, 0] + v[0, -1]) / h**2
-    Fxy = (v[1, 1] - v[1, -1] - v[-1, 1] + v[-1, -1]) / (4 * h**2)
-    return v[0, 0], Fx, Fy, Fxx, Fyy, Fxy
-
-
-def _moduli_operator(F, z, kappa, p, q, h, reduced_potential=False):
-    x, y = z.real, z.imag
-    F0, Fx, Fy, Fxx, Fyy, Fxy = _stencil_2d(F, x, y, h)
-    dF = (Fx - 1j * Fy) / 2
-    dbF = (Fx + 1j * Fy) / 2
-    d2F = (Fxx - Fyy - 2j * Fxy) / 4
-    db2F = (Fxx - Fyy + 2j * Fxy) / 4
-    ddbF = (Fxx + Fyy) / 4
-    zb = np.conj(z)
-    # (z d - zb db)^2 expanded in first and second Wirtinger derivatives
-    rot2 = (z * dF + z**2 * d2F - 2 * (abs(z) ** 2) * ddbF
-            + zb * dbF + zb**2 * db2F)
-    if reduced_potential:
-        pot = -p / (1 - z) ** 2 - p / (1 - zb) ** 2 + 2 * p - q
-    else:
-        pot = (-p / (1 - z) ** 2 - p / (1 - zb) ** 2
-               + q / (1 - z) + q / (1 - zb) + 2 * p - 2 * q)
-    terms = (-(kappa / 2) * rot2,
-             -(1 + z) / (1 - z) * z * dF,
-             -(1 + zb) / (1 - zb) * zb * dbF,
-             pot * F0)
-    return sum(terms), max(sum(abs(t) for t in terms), 1.0)
+                                              "z2": [z2.real, z2.imag]}, kappa, gamma,
+                            lambda a, b: closed_two_point(a, b, kappa, gamma),
+                            (z1, z2.conjugate()))
 
 
 def moduli_residual(kappa, gamma, z):
-    """Residual of the modulus-moment PDE on the two-point diagonal at z."""
+    """Residual of the modulus-moment PDE at z.
+
+    The modulus moment is the two-point moment on the diagonal z1 = z2 = z,
+    and its PDE is the two-point PDE there.
+    """
     z = complex(z)
-    if abs(z) >= 1:
+    if not abs(z) < 1:
         raise DomainError("z must lie in the unit disk")
-    p, q = parabola_point(kappa, gamma)
-    F = lambda x, y: closed_moduli(x + 1j * y, kappa, gamma)
     return _operator_report("moduli_pde", {"kappa": kappa, "gamma": gamma,
-                                           "z": [z.real, z.imag]},
-                            lambda hh: _moduli_operator(F, z, kappa, p, q, hh))
+                                           "z": [z.real, z.imag]}, kappa, gamma,
+                            lambda a, b: closed_two_point(a, b, kappa, gamma),
+                            (z, z.conjugate()))
 
 
 def moduli_residual_gform(kappa, gamma, z):
     """Equivalent PDE for F/|z|^q: the potential loses its q/(1-z) terms."""
     z = complex(z)
-    if abs(z) >= 1 or z == 0:
+    if not 0 < abs(z) < 1:
         raise DomainError("z must lie in the punctured unit disk")
-    p, q = parabola_point(kappa, gamma)
-
-    def G(x, y):
-        w = x + 1j * y
-        return closed_moduli(w, kappa, gamma) / abs(w) ** q
-
-    def at(hh):
-        # the divided-out form has much larger radial curvature, so the h^2
-        # truncation term is removed by Richardson extrapolation before testing
-        res_h, scale = _moduli_operator(G, z, kappa, p, q, hh, reduced_potential=True)
-        res_2h, _ = _moduli_operator(G, z, kappa, p, q, 2 * hh, reduced_potential=True)
-        return (4 * res_h - res_2h) / 3, scale
-
+    q = parabola_point(kappa, gamma)[1]
     return _operator_report("moduli_pde_gform", {"kappa": kappa, "gamma": gamma,
-                                                 "z": [z.real, z.imag]}, at)
+                                                 "z": [z.real, z.imag]}, kappa, gamma,
+                            lambda a, b: closed_two_point(a, b, kappa, gamma) / (a * b) ** (q / 2),
+                            (z, z.conjugate()), reduced=True)
 
 
 # ---------------------------------------------------------------------------
@@ -378,16 +327,15 @@ def run_all_checks(kappa, suite="all", seed=0):
 
     ``suite`` picks "algebra" (the A + B + C sum at 200 random (kappa, p,
     q, alpha) drawn from ``seed``, and the duality of beta), "residuals"
-    (the ODE and PDE residuals of the closed forms at z = 0.3 + 0.2j, and
-    z2 = 0.25 - 0.15j for the two-point PDE), "seeds" (the separatrices
-    re-derived from the coefficient system) or "all".  Duality and the
-    residuals are checked at the self-dual exponent gamma = 1/kappa + 1/4,
-    the fixed point of gamma -> 2/kappa + 1/2 - gamma.
+    (the ODE and PDE residuals of the closed forms at z = 0.3 + 0.2j and
+    at z = 0.99, -0.99 and 0.99j near the circle, with z2 = 0.25 - 0.15j for
+    the two-point PDE), "seeds" (the separatrices re-derived from the
+    coefficient system) or "all".  Duality and the residuals are checked at the self-dual exponent
+    gamma = 1/kappa + 1/4, the fixed point of gamma -> 2/kappa + 1/2 - gamma.
     """
     if suite not in SUITES:
         raise ValueError(f"unknown check suite {suite!r}; expected one of {SUITES}")
     gamma = 1 / kappa + 0.25
-    z = 0.3 + 0.2j
     reports = []
     if suite in ("algebra", "all"):
         rng = np.random.default_rng(seed)
@@ -400,10 +348,11 @@ def run_all_checks(kappa, suite="all", seed=0):
         reports.append(_report("beta_duality", {"kappa": kappa, "gamma": gamma},
                                dual["residual"], dual["residual"] < 1e-12))
     if suite in ("residuals", "all"):
-        reports.append(ode_residual(kappa, gamma, z))
-        reports.append(pde_residual(kappa, gamma, z, 0.25 - 0.15j))
-        reports.append(moduli_residual(kappa, gamma, z))
-        reports.append(moduli_residual_gform(kappa, gamma, z))
+        for z in (0.3 + 0.2j, 0.99, -0.99, 0.99j):
+            reports.append(ode_residual(kappa, gamma, z))
+            reports.append(pde_residual(kappa, gamma, z, 0.25 - 0.15j))
+            reports.append(moduli_residual(kappa, gamma, z))
+            reports.append(moduli_residual_gform(kappa, gamma, z))
     if suite in ("seeds", "all"):
         reports.extend(seed_systems(kappa))
     return reports

@@ -422,9 +422,20 @@ class TestExitCodes:
         assert run(["check", "--suite", suite, "--kappa", "6", "--seed", "5",
                     "--output", str(out)]) == 0
         reports = residuals.run_all_checks(6.0, suite=suite, seed=5)
-        assert out.read_text() == json.dumps(reports, indent=2, default=float) + "\n"
+        assert out.read_text() == json.dumps(reports, indent=2) + "\n"
         assert ("moduli_pde_gform" in [r["check"] for r in reports]) == \
             (suite in ("residuals", "all"))
+
+    def test_check_writes_only_finite_numbers(self, tmp_path):
+        # strict JSON: no NaN or Infinity token anywhere in the battery
+        out = tmp_path / "r.json"
+        assert run(["check", "--suite", "all", "--kappa", "6", "--output", str(out)]) == 0
+
+        def reject(token):
+            raise ValueError(f"non-finite JSON constant {token}")
+
+        reports = json.loads(out.read_text(), parse_constant=reject)
+        assert reports and all(r["pass"] for r in reports)
 
 
 # flags that some subcommands do not take, each with a valid rest of the line

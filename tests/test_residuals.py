@@ -1,4 +1,4 @@
-"""Tests for the finite-difference verification of the closed forms."""
+"""Tests for the verification of the closed forms."""
 
 import numpy as np
 import pytest
@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from slelab import residuals as rs
 from slelab import spectrum as sp
 from slelab.flow import DomainError
-from slelab.moments import parabola_point
+from slelab import moments
 
 kappas = st.floats(min_value=0.5, max_value=60.0, allow_nan=False)
 reals = st.floats(min_value=-5.0, max_value=5.0, allow_nan=False)
@@ -56,28 +56,64 @@ class TestODEResiduals:
     def test_closed_form_passes(self, kappa, gamma):
         rep = rs.ode_residual(kappa, gamma, 0.3 + 0.2j)
         assert rep["pass"]
-        assert rep["residual"] < 1e-6
+        assert rep["residual"] < 1e-12 * rep["inputs"]["scale"]
 
-    def test_convergence_order(self):
-        rep = rs.ode_residual(6.0, 0.5, 0.3 + 0.2j)
-        assert 1.8 < rep["order_estimate"] < 2.2
+    def test_convergence_order(self, monkeypatch):
+        # the trapezoid rule converges geometrically: on a circle a quarter
+        # of the way to the branch point, each 4 more points cut the
+        # derivative error by about 4^4
+        z, g = 0.99, 0.5
+        exact = np.array([(1 - z) ** g, -g * (1 - z) ** (g - 1),
+                          g * (g - 1) / 2 * (1 - z) ** (g - 2)])
+        errors = []
+        for m in (8, 12, 16):
+            monkeypatch.setattr(rs, "_M", m)
+            coef = rs._taylor(lambda w: (1 - w) ** g, (z,), [abs(1 - z) / 4])[0]
+            errors.append(np.max(np.abs(coef / exact - 1)))
+        assert errors[0] > 100 * errors[1] > 1e4 * errors[2]
 
     def test_grid_of_points(self):
         for z in 0.5 * np.exp(1j * np.linspace(0, 2 * np.pi, 20, endpoint=False)):
             rep = rs.ode_residual(2.0, 1.0, z)
-            assert rep["residual"] < 1e-6
+            assert rep["residual"] < 1e-12 * rep["inputs"]["scale"]
 
     def test_perturbed_beta_rejected(self):
-        # wrong exponent: residual jumps by orders of magnitude
-        p, q = parabola_point(6.0, 0.5)
-        G = lambda w: (1 - w) ** (0.5 + 0.05)
-        res, _ = rs._apply_P(G, 0.3 + 0.2j, 6.0, p, q, 1e-4)
-        assert abs(res) > 1e-2
+        # a wrong exponent fails by orders of magnitude over the 1e-12 bound
+        rep = rs._operator_report("c", {}, 6.0, 0.5, lambda w: (1 - w) ** (0.5 + 1e-6),
+                                  (0.3 + 0.2j,))
+        assert not rep["pass"]
+        assert rep["residual"] > 1e-9 * rep["inputs"]["scale"]
 
-    def test_nonholomorphic_candidate_flagged(self):
-        # |w| fails the Cauchy-Riemann probe; (1-w)^g passes it
-        assert rs._holomorphy_probe(lambda w: abs(w), 0.3 + 0.2j, 1e-4) > 1e-3
-        assert rs._holomorphy_probe(lambda w: (1 - w) ** 0.5, 0.3 + 0.2j, 1e-4) < 1e-8
+    @pytest.mark.parametrize("z", [0.3 + 0.2j, 0.999])
+    def test_nonholomorphic_candidate_flagged(self, z, monkeypatch):
+        # |w| has negative-frequency coefficients on the circle; (1-w)^g has none
+        radius = [abs(1 - z) / 4]
+        assert rs._taylor(lambda w: abs(w), (z,), radius)[1] > 1e-5
+        assert rs._taylor(lambda w: (1 - w) ** 0.5, (z,), radius)[1] < 1e-13
+        monkeypatch.setattr(rs, "closed_one_point", lambda w, kappa, gamma: abs(w))
+        with pytest.raises(DomainError, match="holomorphy probe"):
+            rs.ode_residual(6.0, 0.5, z)
+
+    @pytest.mark.parametrize("z1, w", [(0.999, 0.999), (-0.999j, 0.999j), (0.999, 0.25 + 0.15j)])
+    def test_taylor_coefficients_are_exact(self, z1, w):
+        # the two-point closed form G = (1-a)^g (1-b)^g (1-ab)^-beta against
+        # its derivatives from L = log G, 1e-3 from the circle
+        kappa, g = 6.0, 0.5
+        beta = kappa * g * g / 2
+        La = -g / (1 - z1) + beta * w / (1 - z1 * w)
+        Lb = -g / (1 - w) + beta * z1 / (1 - z1 * w)
+        Laa = -g / (1 - z1) ** 2 + beta * w**2 / (1 - z1 * w) ** 2
+        Lbb = -g / (1 - w) ** 2 + beta * z1**2 / (1 - z1 * w) ** 2
+        Lab = beta / (1 - z1 * w) ** 2
+        G = moments.closed_two_point(z1, w, kappa, g)
+        radii = [min(abs(1 - z), abs(1 - z1 * w)) / 4 for z in (z1, w)]
+        coef, share = rs._taylor(lambda a, b: moments.closed_two_point(a, b, kappa, g),
+                                 (z1, w), radii)
+        got = [coef[0, 0], coef[1, 0], coef[0, 1], coef[2, 0], coef[0, 2], coef[1, 1]]
+        exact = [G, G * La, G * Lb, G * (Laa + La**2) / 2, G * (Lbb + Lb**2) / 2,
+                 G * (Lab + La * Lb)]
+        np.testing.assert_allclose(got, exact, rtol=1e-12)
+        assert share < 1e-13
 
     def test_bad_point_rejected(self):
         with pytest.raises(DomainError):
@@ -89,24 +125,15 @@ class TestPDEResiduals:
     def test_two_point_passes(self, kappa, gamma):
         rep = rs.pde_residual(kappa, gamma, 0.3 + 0.2j, 0.25 - 0.15j)
         assert rep["pass"]
-        assert 1.8 < rep["order_estimate"] < 2.2
 
     @pytest.mark.parametrize("kappa,gamma", [(2.0, 1.0), (6.0, 0.5)])
     def test_moduli_passes(self, kappa, gamma):
         rep = rs.moduli_residual(kappa, gamma, 0.3 + 0.2j)
         assert rep["pass"]
-        assert 1.8 < rep["order_estimate"] < 2.2
 
     def test_moduli_gform_equivalent(self):
         rep = rs.moduli_residual_gform(6.0, 0.5, 0.3 + 0.2j)
         assert rep["pass"]
-
-    @pytest.mark.parametrize("kappa", [0.5, 2.0, 6.0, 8.0, 30.0])
-    def test_moduli_gform_order_after_extrapolation(self, kappa):
-        # Richardson extrapolation removes the h^2 term, so the order is 4
-        rep = rs.moduli_residual_gform(kappa, 1 / kappa + 0.25, 0.3 + 0.2j)
-        assert rep["pass"]
-        assert 3.8 <= rep["order_estimate"] <= 4.2
 
     def test_moduli_grid(self):
         for z in 0.4 * np.exp(1j * np.linspace(0.1, 2 * np.pi, 20, endpoint=False)):
@@ -119,6 +146,82 @@ class TestPDEResiduals:
             rs.moduli_residual(6.0, 0.5, -1.1)
         with pytest.raises(DomainError, match="punctured unit disk"):
             rs.moduli_residual_gform(6.0, 0.5, 0.0)
+
+    @pytest.mark.parametrize("bad", [complex("nan"), complex(0.2, float("nan")), float("inf")])
+    def test_non_finite_point_rejected(self, bad):
+        for check in (lambda z: rs.ode_residual(6.0, 0.5, z),
+                      lambda z: rs.pde_residual(6.0, 0.5, 0.2, z),
+                      lambda z: rs.pde_residual(6.0, 0.5, z, 0.2),
+                      lambda z: rs.moduli_residual(6.0, 0.5, z),
+                      lambda z: rs.moduli_residual_gform(6.0, 0.5, z)):
+            with pytest.raises(DomainError):
+                check(bad)
+
+
+KAPPAS = (0.5, 2.0, 6.0, 8.0, 30.0)
+INNER = (0.3 + 0.2j, 0.9, 0.97 + 0.2j, 0.99, -0.99, 0.99j)
+EDGE = (0.999, -0.999, 0.999j)
+
+
+def _operator_checks(kappa, gamma, z):
+    return (rs.ode_residual(kappa, gamma, z), rs.pde_residual(kappa, gamma, z, 0.25 - 0.15j),
+            rs.moduli_residual(kappa, gamma, z), rs.moduli_residual_gform(kappa, gamma, z))
+
+
+def _relative(rep):
+    return rep["residual"] / rep["inputs"]["scale"]
+
+
+class TestNearCircle:
+    @pytest.mark.parametrize("kappa", KAPPAS)
+    @pytest.mark.parametrize("z", INNER[1:] + EDGE)
+    def test_every_operator_check_passes(self, kappa, z):
+        # within 0.1 of the circle, on both sides and the imaginary axis
+        for rep in _operator_checks(kappa, 1 / kappa + 0.25, z):
+            assert rep["pass"], rep
+            assert _relative(rep) < 1e-12
+
+
+def _shift_gamma(monkeypatch, dg):
+    monkeypatch.setattr(rs, "closed_one_point",
+                        lambda w, kappa, gamma: moments.closed_one_point(w, kappa, gamma + dg))
+    monkeypatch.setattr(rs, "closed_two_point",
+                        lambda a, b, kappa, gamma: moments.closed_two_point(a, b, kappa, gamma + dg))
+
+
+def _shift_p(monkeypatch, dp):
+    monkeypatch.setattr(rs, "parabola_point",
+                        lambda kappa, gamma: tuple(np.add(sp.parabola_point(kappa, gamma), (dp, 0))))
+
+
+MUTATIONS = {"gamma+1e-6": lambda mp: _shift_gamma(mp, 1e-6),
+             "gamma-1e-6": lambda mp: _shift_gamma(mp, -1e-6),
+             "p+1e-6": lambda mp: _shift_p(mp, 1e-6)}
+
+
+class TestMutation:
+    """Closed forms off the parabola by 1e-6 fail the 1e-12 bound."""
+
+    @pytest.mark.parametrize("kappa", KAPPAS)
+    @pytest.mark.parametrize("mutation", MUTATIONS)
+    def test_shift_fails_every_check_inside(self, kappa, mutation, monkeypatch):
+        MUTATIONS[mutation](monkeypatch)
+        for z in INNER:
+            for rep in _operator_checks(kappa, 1 / kappa + 0.25, z):
+                assert not rep["pass"], rep
+
+    @pytest.mark.parametrize("kappa", KAPPAS)
+    @pytest.mark.parametrize("mutation", MUTATIONS)
+    def test_shift_fails_off_diagonal_at_the_edge(self, kappa, mutation, monkeypatch):
+        # on the diagonal at |z| = 0.999 the shift sinks toward roundoff;
+        # the one-point ODE and the two-point PDE with an interior partner
+        # still fail it by orders of magnitude
+        MUTATIONS[mutation](monkeypatch)
+        gamma = 1 / kappa + 0.25
+        for z in EDGE:
+            for rep in (rs.ode_residual(kappa, gamma, z),
+                        rs.pde_residual(kappa, gamma, z, 0.25 - 0.15j)):
+                assert _relative(rep) > 1e-9, rep
 
 
 class TestSeedSystems:
@@ -182,28 +285,34 @@ class TestSeedSystems:
 
 class TestReportFormat:
     def test_operator_report(self):
-        # an exactly zero residual at the finer order step gives order inf
-        rep = rs._operator_report("c", {"kappa": 1.0},
-                                  lambda h: (0.0 if h == 2e-3 else -1j * h * h, 2.0))
-        assert rep == {"check": "c", "inputs": {"kappa": 1.0, "h": rs._H, "scale": 2.0},
-                       "residual": rs._H**2, "order_estimate": np.inf, "pass": True}
-        rep = rs._operator_report("c", {}, lambda h: (1e3 * h**2, 1.0))
-        assert abs(rep["order_estimate"] - 2.0) < 1e-12 and not rep["pass"]
+        # the inputs gain the scale; the check passes below 1e-12 of it
+        G = lambda w: (1 - w) ** 0.5
+        rep = rs._operator_report("c", {"kappa": 6.0}, 6.0, 0.5, G, (0.3 + 0.2j,))
+        assert list(rep) == ["check", "inputs", "residual", "pass"]
+        assert list(rep["inputs"]) == ["kappa", "scale"] and rep["inputs"]["scale"] >= 1.0
+        assert rep["pass"] and rep["residual"] < 1e-12 * rep["inputs"]["scale"]
+        rep = rs._operator_report("c", {}, 6.0, 0.5, lambda w: G(w) + 1e-9, (0.3 + 0.2j,))
+        assert not rep["pass"]
 
     def test_run_all_checks_schema(self):
         for suite in rs.SUITES:
             reports = rs.run_all_checks(6.0, suite=suite)
             assert reports
             for r in reports:
-                assert list(r) == ["check", "inputs", "residual", "order_estimate", "pass"], r
+                assert list(r) == ["check", "inputs", "residual", "pass"], r
             assert all(r["pass"] for r in reports)
 
     def test_run_all_checks_suites(self):
         names = {suite: [r["check"] for r in rs.run_all_checks(6.0, suite=suite, seed=1)]
                  for suite in rs.SUITES}
         assert names["algebra"] == ["abc_sum_random", "beta_duality"]
-        assert names["residuals"] == ["one_point_ode", "two_point_pde", "moduli_pde",
-                                      "moduli_pde_gform"]
+        assert names["residuals"] == 4 * ["one_point_ode", "two_point_pde", "moduli_pde",
+                                          "moduli_pde_gform"]
         assert names["all"] == names["algebra"] + names["residuals"] + names["seeds"]
         with pytest.raises(ValueError):
             rs.run_all_checks(6.0, suite="bogus")
+
+    def test_residuals_checked_near_the_circle(self):
+        points = [complex(*(r["inputs"].get("z") or r["inputs"]["z1"]))
+                  for r in rs.run_all_checks(6.0, suite="residuals")]
+        assert points == [z for z in (0.3 + 0.2j, 0.99, -0.99, 0.99j) for _ in range(4)]
