@@ -84,8 +84,14 @@ class TestODEResiduals:
         assert not rep["pass"]
         assert rep["residual"] > 1e-9 * rep["inputs"]["scale"]
 
-    @pytest.mark.parametrize("z", [0.3 + 0.2j, 0.999])
-    def test_nonholomorphic_candidate_flagged(self, z, monkeypatch):
+    def test_nonholomorphic_candidate_flagged(self, monkeypatch):
+        self._check_nonholomorphic_flagged(0.3 + 0.2j, monkeypatch)
+
+    def test_nonholomorphic_candidate_flagged_near_circle(self, monkeypatch):
+        self._check_nonholomorphic_flagged(0.999, monkeypatch)
+
+    @staticmethod
+    def _check_nonholomorphic_flagged(z, monkeypatch):
         # |w| has negative-frequency coefficients on the circle; (1-w)^g has none
         radius = [abs(1 - z) / 4]
         assert rs._taylor(lambda w: abs(w), (z,), radius)[1] > 1e-5
