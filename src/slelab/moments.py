@@ -246,7 +246,11 @@ def log_coeff_moments(kappa, n_max):
     these are -1/2, 0, 0, ... and E|gamma_n|^2 = 1/(2 n^2).  The product
     form of r subtracts nothing, so small c_n keep their digits.  Only
     + - * / touch kappa, so a Fraction kappa gives exact rationals and a
-    float kappa float64 arrays.
+    float kappa float64 arrays.  In float64, every entry of mean and of
+    second lies within 1e-14 of the largest |entry| of its array; accuracy
+    relative to each entry is not promised, since the running sums of h
+    cancel far from the diagonal at small kappa (at kappa = 0.3 and n_max =
+    40, entry (39, 2) is off by 0.41 of its size).
     """
     if n_max < 1:
         raise DomainError(f"n_max must be >= 1, got {n_max}")

@@ -7,9 +7,11 @@ function and its duality) and applies the differential operators to the
 closed forms.  The closed forms are holomorphic in z, and in (z1, conj z2)
 for the two-point forms, so their derivatives come from Cauchy integrals:
 the trapezoid rule on circles around the point gives them to machine
-precision anywhere in the disk, and the residuals are held to 1e-12.  The
-phase-diagram seed curves are also re-derived numerically from the
-coefficient system and compared against the exact parametrizations.
+precision anywhere in the disk, and the residuals are held to 1e-12.  Each
+circle's radius is a quarter of the way to the nearest singularity over 1 +
+e/4, e the closed form's largest |exponent|.  The phase-diagram seed curves
+are re-derived from the coefficient system and checked, at closed-form
+parameters, against the exact parametrizations and the special points.
 """
 
 from __future__ import annotations
@@ -96,6 +98,8 @@ def _taylor(G, centers, radii):
     u = np.exp(2j * np.pi * np.arange(_M) / _M)
     axes = [z + r * u for z, r in zip(centers, radii)]
     samples = G(*np.meshgrid(*axes, indexing="ij", sparse=True))
+    if not (np.isfinite(samples).all() and np.any(samples)):
+        raise FloatingPointError(f"the integrand leaves float64 range near {centers}")
     c = np.fft.fftn(np.broadcast_to(samples, (_M,) * len(axes))) / _M ** len(axes)
     mag = np.abs(c)
     peak = mag.max()
@@ -117,10 +121,13 @@ def _operator_report(check, inputs, kappa, gamma, G, points, reduced=False):
     the scale, the sum of the terms' magnitudes (at least 1).
     """
     p, q = parabola_point(kappa, gamma)
-    # at most a quarter of the way to the nearest singularity: z_i = 1, z1 w = 1
-    # and, for the divided-out form, z_i = 0 (there a third of the way)
+    # a quarter of the way to the nearest singularity (z_i = 1, z1 w = 1 and,
+    # for the divided-out form, a third of the way to z_i = 0), divided by
+    # 1 + e/4: the Taylor coefficients of (1 - z)^e grow like binom(e, n) 4^-n
+    e = max(abs(gamma), kappa * gamma**2 / 2 if len(points) == 2 else 0,
+            abs(q) / 2 if reduced else 0)
     radii = [min(abs(1 - z) / 4, abs(1 - np.prod(points)) / 4,
-                 abs(z) / 3 if reduced else np.inf) for z in points]
+                 abs(z) / 3 if reduced else np.inf) / (1 + e / 4) for z in points]
     a, share = _taylor(G, points, radii)
     if share > 1e-12:
         raise DomainError(f"integrand fails the holomorphy probe at {points} "
@@ -190,7 +197,7 @@ def moduli_residual_gform(kappa, gamma, z):
 
 
 # ---------------------------------------------------------------------------
-# numeric re-derivation of the phase-diagram seed curves
+# re-derivation of the phase-diagram seed curves
 
 
 def _quartic_gamma0(kappa, gamma):
@@ -205,57 +212,6 @@ def _quartic_gamma0(kappa, gamma):
     return (8 + kappa) / (4 * kappa) - np.sqrt(disc) / (2 * kappa)
 
 
-def _quadratic_root_in(a, b, c, lo, hi):
-    """The root of a t^2 + b t + c = 0 that lies in [lo, hi].
-
-    Both roots come from the cancellation-free pair m / a and c / m with
-    m = -(b + sign(b) sqrt(b^2 - 4ac)) / 2.
-    """
-    disc = b * b - 4 * a * c
-    if disc > 0:
-        m = -(b + np.copysign(np.sqrt(disc), b)) / 2
-        for t in (m / a, c / m):
-            if lo <= t <= hi:
-                return float(t)
-    raise DomainError(f"no root of {a} t^2 + {b} t + {c} in [{lo}, {hi}]")
-
-
-def _intersection_params(kappa):
-    """Curve parameters of the special points P0, Q1 and P1.
-
-    P0: green p(t) = v - (kappa/2) t^2 equals p0 on [0.2, 0.3] + 1/kappa.
-    Q1: red p(t) = (2 + kappa/2) t - (kappa/2) t^2 equals p0' on the
-    descending branch [-6 - 6/kappa, 0].  P1: red q(t) = (3 + kappa/2) t -
-    kappa t^2 equals the ordinate of P0 past the vertex.
-    """
-    sp = _spec.special_points(kappa)
-    v = _spec.delta0_of(kappa)
-    g_p0 = _quadratic_root_in(-kappa / 2, 0.0, v - sp.p0, 0.2 + 1 / kappa, 0.3 + 1 / kappa)
-    g_q1 = _quadratic_root_in(-kappa / 2, 2 + kappa / 2, -sp.p0prime, -6 - 6 / kappa, 0.0)
-    g_vertex = (3 + kappa / 2) / (2 * kappa)
-    g_p1 = _quadratic_root_in(-kappa, 3 + kappa / 2, -sp.P0[1],
-                              g_vertex, g_vertex + 1 / kappa + 1)
-    return g_p0, g_q1, g_p1
-
-
-def _companion_gamma0(kappa, gamma, start):
-    """Companion exponent g0 by Newton's method from ``start``.
-
-    g0 solves (8 + kappa)/2 g0 - kappa g0^2 = (4 + kappa)/2 gamma - kappa
-    gamma^2 - 1.  The left side is concave, so from a start below the lower
-    root the iterates rise to that root without overshooting it.
-    """
-    target = (4 + kappa) / 2 * gamma - kappa * gamma**2 - 1
-    g0 = start
-    for _ in range(50):
-        step = ((8 + kappa) / 2 * g0 - kappa * g0**2 - target) / ((8 + kappa) / 2 - 2 * kappa * g0)
-        g0 -= step
-        if abs(step) <= 1e-12 * (1 + abs(g0)):
-            return float(g0)
-    raise DomainError(f"Newton's method for the companion exponent did not converge "
-                      f"at kappa={kappa}, gamma={gamma}")
-
-
 def seed_systems(kappa, n_params=7):
     """Re-derive each separatrix from its coefficient-system seeds.
 
@@ -263,20 +219,18 @@ def seed_systems(kappa, n_params=7):
     C = 0 at the dual exponent.  Quartic: C = 0 at the companion exponent
     gamma_0(gamma) solving the two-exponent compatibility relation, with
     q fixed by A = 0.  Each reconstruction is compared with the exact
-    parametrization, and the curve intersections are compared with the
-    named special points.
+    parametrization, and each curve at the closed-form parameter of a
+    special point on it with that point.
     """
     checks = []
-    sp = _spec.special_points(kappa)
 
     def quartic_companion(g):
-        # solved numerically and compared with the closed form; the closed
-        # form raises unless the discriminant is > 0
-        g0_exact = _quartic_gamma0(kappa, g)
-        g0 = _companion_gamma0(kappa, g, g0_exact - 0.1)
-        return g0, abs(g0 - g0_exact)
+        # the lower root and the residual of its defining relation
+        g0 = _quartic_gamma0(kappa, g)
+        return g0, abs((8 + kappa) / 2 * g0 - kappa * g0**2
+                       - ((4 + kappa) / 2 * g - kappa * g**2 - 1))
 
-    # (check, curve, parameter range, companion exponent and its error, tolerance)
+    # (check, curve, parameter range, companion exponent and its residual, tolerance)
     systems = (
         ("seed_red", "redParabola", (0.05, 1 / kappa + 0.6), lambda g: (g, 0.0), 1e-10),
         ("seed_green", "greenParabola", (0.25 + 1 / kappa, 1 + 2 / kappa),
@@ -288,33 +242,23 @@ def seed_systems(kappa, n_params=7):
         worst = 0.0
         for g in np.linspace(lo, hi, n_params):
             # p from C(p, g_c) = 0 at the companion g_c, q from A(p, q, g) = 0
-            gc, gc_err = companion(g)
+            gc, gc_res = companion(g)
             p = (2 + kappa / 2) * gc - (kappa / 2) * gc**2
             q = p + g - (kappa / 2) * g**2
             pe, qe = _spec.curve_eval(curve, kappa, g)
-            worst = max(worst, gc_err, abs(p - pe), abs(q - qe),
+            worst = max(worst, gc_res, abs(p - pe), abs(q - qe),
                         abs(_coeff_A(kappa, p, q, g)), abs(_coeff_C(kappa, p, gc)))
         checks.append(_report(check, {"kappa": kappa}, worst, worst < tol))
 
-    # intersections: red/green tangency points and the quartic corner
-    p0, q0 = sp.P0
-    g_p0, g_q1, g_p1 = _intersection_params(kappa)
-    pg, qg = _spec.curve_eval("greenParabola", kappa, g_p0)
-    res_P0 = max(abs(pg - p0), abs(qg - q0), abs(g_p0 - (0.25 + 1 / kappa)))
-
-    pq0, qq0 = _spec.curve_eval("blueQuartic", kappa, 1 + 2 / kappa)
-    res_Q0 = max(abs(pq0 - sp.Q0[0]), abs(qq0 - sp.Q0[1]))
-
-    # the green arc and the quartic branch share the corner Q0
-    pg0, qg0 = _spec.curve_eval("greenParabola", kappa, 1 + 2 / kappa)
-    res_Q0 = max(res_Q0, abs(pg0 - sp.Q0[0]), abs(qg0 - sp.Q0[1]))
-
-    pr1, qr1 = _spec.curve_eval("redParabola", kappa, g_q1)
-    res_Q1 = max(abs(pr1 - sp.Q1[0]), abs(qr1 - sp.Q1[1]))
-
-    res_P1 = abs(_spec.curve_eval("redParabola", kappa, g_p1)[0] - sp.P1[0])
-
-    worst = max(res_P0, res_Q0, res_Q1, res_P1)
+    # each special point against the curves through it, at their closed-form parameters
+    sp = _spec.special_points(kappa)
+    meets = (("greenParabola", 0.25 + 1 / kappa, sp.P0),
+             ("blueQuartic", 1 + 2 / kappa, sp.Q0),
+             ("greenParabola", 1 + 2 / kappa, sp.Q0),
+             ("redParabola", -0.5, sp.Q1),
+             ("redParabola", 0.25 + 2 / kappa, sp.P1))
+    worst = max(abs(c - e) for curve, t, point in meets
+                for c, e in zip(_spec.curve_eval(curve, kappa, t), point))
     checks.append(_report("seed_intersections", {"kappa": kappa}, worst, worst < 1e-9))
     return checks
 
@@ -349,10 +293,8 @@ def run_all_checks(kappa, suite="all", seed=0):
                                dual["residual"], dual["residual"] < 1e-12))
     if suite in ("residuals", "all"):
         for z in (0.3 + 0.2j, 0.99, -0.99, 0.99j):
-            reports.append(ode_residual(kappa, gamma, z))
-            reports.append(pde_residual(kappa, gamma, z, 0.25 - 0.15j))
-            reports.append(moduli_residual(kappa, gamma, z))
-            reports.append(moduli_residual_gform(kappa, gamma, z))
+            reports += [ode_residual(kappa, gamma, z), pde_residual(kappa, gamma, z, 0.25 - 0.15j),
+                        moduli_residual(kappa, gamma, z), moduli_residual_gform(kappa, gamma, z)]
     if suite in ("seeds", "all"):
         reports.extend(seed_systems(kappa))
     return reports

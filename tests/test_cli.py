@@ -437,6 +437,22 @@ class TestExitCodes:
         reports = json.loads(out.read_text(), parse_constant=reject)
         assert reports and all(r["pass"] for r in reports)
 
+    @pytest.mark.parametrize("kappa", ["0.05", "0.1", "0.2", "0.5", "2", "6", "30", "120",
+                                       "150", "1000"])
+    def test_check_passes_across_kappa(self, kappa, tmp_path):
+        out = tmp_path / "r.json"
+        assert run(["check", "--suite", "all", "--kappa", kappa, "--output", str(out)]) == 0
+        reports = json.loads(out.read_text())
+        assert len(reports) == 22 and all(r["pass"] for r in reports)
+
+    def test_check_out_of_float64_range_is_2(self, tmp_path, capsys):
+        # at kappa = 0.01 the two-point closed form underflows to 0 near the circle
+        out = tmp_path / "r.json"
+        assert run(["check", "--suite", "all", "--kappa", "0.01", "--output", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("numerical failure: the integrand leaves "
+                                                  "float64 range")
+        assert not out.exists()
+
 
 # flags that some subcommands do not take, each with a valid rest of the line
 _NOT_TAKEN = [

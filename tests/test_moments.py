@@ -292,6 +292,17 @@ class TestLogCoeffMoments:
         e = exact[~zero].astype(float)
         assert np.all(np.abs(approx[~zero] - e) <= 1e-13 * np.abs(e))
 
+    @pytest.mark.parametrize("kappa", [Fraction(1, 10), Fraction(1, 8), Fraction(3, 10),
+                                       Fraction(1), Fraction(6)])
+    def test_float_within_1e14_of_the_largest_entry(self, kappa):
+        # the docstring's float guarantee, which holds at small kappa too,
+        # where tiny off-diagonal entries lose their own digits
+        exact = log_coeff_moments(kappa, 24)
+        approx = log_coeff_moments(float(kappa), 24)
+        for e, a in zip(exact, approx):
+            e = e.astype(float)
+            assert np.abs(a - e).max() <= 1e-14 * np.abs(e).max()
+
     @pytest.mark.parametrize("n_max", [0, -1])
     def test_n_max_below_one_rejected(self, n_max):
         with pytest.raises(DomainError, match=f"n_max must be >= 1, got {n_max}"):

@@ -1,5 +1,7 @@
 """Tests for the verification of the closed forms."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy.optimize import brentq
@@ -165,6 +167,8 @@ class TestPDEResiduals:
 
 
 KAPPAS = (0.5, 2.0, 6.0, 8.0, 30.0)
+# where the closed forms' exponents are large: gamma ~ 1/kappa, kappa gamma^2/2 ~ kappa/32
+WIDE_KAPPAS = KAPPAS + (0.05, 0.2, 120.0, 1000.0)
 INNER = (0.3 + 0.2j, 0.9, 0.97 + 0.2j, 0.99, -0.99, 0.99j)
 EDGE = (0.999, -0.999, 0.999j)
 
@@ -179,7 +183,7 @@ def _relative(rep):
 
 
 class TestNearCircle:
-    @pytest.mark.parametrize("kappa", KAPPAS)
+    @pytest.mark.parametrize("kappa", WIDE_KAPPAS)
     @pytest.mark.parametrize("z", INNER[1:] + EDGE)
     def test_every_operator_check_passes(self, kappa, z):
         # within 0.1 of the circle, on both sides and the imaginary axis
@@ -230,8 +234,11 @@ class TestMutation:
                 assert _relative(rep) > 1e-9, rep
 
 
+SEED_KAPPAS = (0.5, 2.0, 6.0, 12.0, 50.0)
+
+
 class TestSeedSystems:
-    @pytest.mark.parametrize("kappa", [0.5, 2.0, 6.0, 12.0, 50.0])
+    @pytest.mark.parametrize("kappa", SEED_KAPPAS)
     def test_all_seed_checks_pass(self, kappa):
         reps = rs.seed_systems(kappa)
         assert [r["check"] for r in reps] == ["seed_red", "seed_green", "seed_quartic",
@@ -239,10 +246,10 @@ class TestSeedSystems:
         for rep in reps:
             assert rep["pass"], rep
 
-    @pytest.mark.parametrize("kappa", [0.5, 2.0, 6.0, 12.0, 50.0])
+    @pytest.mark.parametrize("kappa", SEED_KAPPAS)
     def test_roots_match_brentq_oracle(self, kappa):
-        # the closed-form curve parameters and Newton's companion exponent
-        # against bracketed root-finds on the curve equations themselves
+        # the closed-form curve parameters and companion exponent against
+        # bracketed root-finds on the curve equations themselves
         pts = sp.special_points(kappa)
         g_vertex = (3 + kappa / 2) / (2 * kappa)
         oracle = (
@@ -253,7 +260,6 @@ class TestSeedSystems:
             brentq(lambda t: sp.curve_eval("redParabola", kappa, t)[1] - pts.P0[1],
                    g_vertex, g_vertex + 1 / kappa + 1, xtol=1e-15),
         )
-        np.testing.assert_allclose(rs._intersection_params(kappa), oracle, rtol=0, atol=1e-13)
         np.testing.assert_allclose(oracle, (0.25 + 1 / kappa, -0.5, 0.25 + 2 / kappa),
                                    rtol=0, atol=1e-13)
         for g in np.linspace(1 + 2 / kappa, 4 + 2 / kappa, 7):
@@ -261,17 +267,40 @@ class TestSeedSystems:
             # the lower root lies below the vertex of the concave left side
             g0_oracle = brentq(lambda g0: (8 + kappa) / 2 * g0 - kappa * g0**2 - target,
                                -10.0, (8 + kappa) / (4 * kappa), xtol=1e-15)
-            g0_exact = rs._quartic_gamma0(kappa, g)
-            assert abs(rs._companion_gamma0(kappa, g, g0_exact - 0.1) - g0_oracle) < 1e-13
-            assert abs(g0_exact - g0_oracle) < 1e-13
+            assert abs(rs._quartic_gamma0(kappa, g) - g0_oracle) < 1e-13
 
-    def test_no_root_in_bracket_rejected(self):
-        # t^2 - 1 has roots +-1, none of them in [2, 3]; t^2 + 1 has none
-        assert rs._quadratic_root_in(1.0, 0.0, -1.0, 0.5, 3.0) == 1.0
-        with pytest.raises(DomainError):
-            rs._quadratic_root_in(1.0, 0.0, -1.0, 2.0, 3.0)
-        with pytest.raises(DomainError):
-            rs._quadratic_root_in(1.0, 0.0, 1.0, -3.0, 3.0)
+    @pytest.mark.parametrize("kappa", SEED_KAPPAS)
+    @pytest.mark.parametrize("companion", ["upper root", "+1e-6", "-1e-6"])
+    def test_wrong_companion_fails_seed_quartic(self, kappa, companion, monkeypatch):
+        # the upper root solves the same relation but puts p off the quartic
+        lower = rs._quartic_gamma0
+
+        def wrong(kappa, g):
+            if companion == "upper root":
+                return (8 + kappa) / (4 * kappa) + np.sqrt(sp._quartic_disc(kappa, g)) / (2 * kappa)
+            return lower(kappa, g) + float(companion)
+
+        monkeypatch.setattr(rs, "_quartic_gamma0", wrong)
+        passed = {r["check"]: r["pass"] for r in rs.seed_systems(kappa)}
+        assert passed == {"seed_red": True, "seed_green": True, "seed_quartic": False,
+                          "seed_intersections": True}
+
+    @pytest.mark.parametrize("kappa", SEED_KAPPAS)
+    @pytest.mark.parametrize("point", ["P0", "Q0", "Q1", "P1"])
+    @pytest.mark.parametrize("axis", [0, 1])
+    def test_moved_special_point_fails_seed_intersections(self, kappa, point, axis,
+                                                          monkeypatch):
+        exact = sp.special_points
+
+        def moved(kappa):
+            pts = exact(kappa)
+            return dataclasses.replace(pts, **{point: tuple(np.add(getattr(pts, point),
+                                                                   np.eye(2)[axis] * 1e-6))})
+
+        monkeypatch.setattr(sp, "special_points", moved)
+        passed = {r["check"]: r["pass"] for r in rs.seed_systems(kappa)}
+        assert passed == {"seed_red": True, "seed_green": True, "seed_quartic": True,
+                          "seed_intersections": False}
 
     @pytest.mark.parametrize("kappa, gamma", [(-4.0, 0.0), (-2.0, -0.25), (6.0, float("nan"))])
     def test_quartic_gamma0_rejects_nonpositive_discriminant(self, kappa, gamma):
@@ -307,6 +336,22 @@ class TestReportFormat:
             for r in reports:
                 assert list(r) == ["check", "inputs", "residual", "pass"], r
             assert all(r["pass"] for r in reports)
+
+    @pytest.mark.parametrize("kappa", WIDE_KAPPAS)
+    def test_run_all_checks_passes_across_kappa(self, kappa):
+        reports = rs.run_all_checks(kappa)
+        assert len(reports) == 22
+        for r in reports:
+            assert r["pass"], r
+
+    def test_out_of_float64_range_raises(self):
+        # G = 0 or G not finite on a circle has no Taylor coefficients to read
+        for G in (lambda w: 0 * w, lambda w: np.where(w.real > 0.3, np.inf, w)):
+            with pytest.raises(FloatingPointError, match="float64 range"):
+                rs._taylor(G, (0.3 + 0.2j,), [0.1])
+        # at kappa = 0.01 the two-point form underflows to 0 about z = 0.99
+        with pytest.raises(FloatingPointError, match="float64 range"):
+            rs.run_all_checks(0.01, suite="residuals")
 
     def test_run_all_checks_suites(self):
         names = {suite: [r["check"] for r in rs.run_all_checks(6.0, suite=suite, seed=1)]
