@@ -88,21 +88,12 @@ def closed_moduli(z, kappa, gamma):
     return closed_two_point(z, np.conj(z), kappa, gamma).real
 
 
-def _log_ratio(sample, j, z):
-    """log(f(z)/z) per sample; exactly zero at the origin where f'(0) = 1."""
-    if z == 0:
-        return np.zeros(sample.n_samples, dtype=complex)
-    return sample.logf[:, j] - np.log(complex(z))
-
-
-def _log_weight_one_point(sample, p, q, z):
-    """log of the one-point weight f'^{p/2} / (f/z)^{q/2} per sample."""
+def _log_weight(sample, p, q, z):
+    """log of the one-point weight f'^{p/2} / (f/z)^{q/2} per sample;
+    log(f/z) is exactly zero at the origin, where f'(0) = 1."""
     j = sample.point_index(z)
-    return (p / 2) * sample.logfp[:, j] - (q / 2) * _log_ratio(sample, j, z)
-
-
-def _weights_one_point(sample, p, q, z):
-    return np.exp(_log_weight_one_point(sample, p, q, z))
+    log_ratio = 0 if z == 0 else sample.logf[:, j] - np.log(complex(z))
+    return (p / 2) * sample.logfp[:, j] - (q / 2) * log_ratio
 
 
 def _mean_and_stderr(x):
@@ -132,7 +123,7 @@ def _estimate(x, median_blocks=0):
 
 def estimate_one_point(sample: WholePlaneSample, p, q, z) -> MomentEstimate:
     """Monte Carlo estimate of E(z^{q/2} f'^{p/2} / f^{q/2}) at z."""
-    return _estimate(_weights_one_point(sample, p, q, z))
+    return _estimate(np.exp(_log_weight(sample, p, q, z)))
 
 
 def estimate_moduli(sample: WholePlaneSample, p, q, z) -> MomentEstimate:
@@ -141,17 +132,17 @@ def estimate_moduli(sample: WholePlaneSample, p, q, z) -> MomentEstimate:
     Reports a 16-block median-of-means alongside the plain mean; moduli
     weights can be heavy tailed for large |q|.
     """
-    x = np.exp(2 * _log_weight_one_point(sample, p, q, z).real)
+    x = np.exp(2 * _log_weight(sample, p, q, z).real)
     return _estimate(x, median_blocks=16)
 
 
 def estimate_two_point(sample: WholePlaneSample, p, q, z1, z2) -> MomentEstimate:
     """Monte Carlo estimate of E(X(z1) conj(X(z2))) under common drivers."""
-    x1 = _weights_one_point(sample, p, q, z1)
+    x1 = np.exp(_log_weight(sample, p, q, z1))
     if z2 == 0:
         x = x1
     else:
-        x = x1 * np.conj(_weights_one_point(sample, p, q, z2))
+        x = x1 * np.conj(np.exp(_log_weight(sample, p, q, z2)))
     return _estimate(x)
 
 

@@ -118,7 +118,7 @@ def _operator_report(check, inputs, kappa, gamma, G, points, reduced=False):
     z2) it is P in z1 plus P in w plus kappa D1 D2.  ``reduced`` is the
     two-point operator on G / (z1 w)^{q/2}, whose V(z) is -p/(1-z)^2 + p - q/2.
     The check passes when the residual |operator G| is below 1e-12 times
-    the scale, the sum of the terms' magnitudes (at least 1).
+    the scale, the sum of the terms' magnitudes.
     """
     p, q = parabola_point(kappa, gamma)
     # a quarter of the way to the nearest singularity (z_i = 1, z1 w = 1 and,
@@ -143,7 +143,7 @@ def _operator_report(check, inputs, kappa, gamma, G, points, reduced=False):
     if len(points) == 2:
         terms.append(kappa * points[0] * points[1] * a[1, 1])
     residual = abs(sum(terms))
-    scale = max(sum(abs(t) for t in terms), 1.0)
+    scale = sum(abs(t) for t in terms)
     return _report(check, {**inputs, "scale": scale}, residual, residual / scale < 1e-12)
 
 

@@ -210,9 +210,14 @@ MUTATIONS = {"gamma+1e-6": lambda mp: _shift_gamma(mp, 1e-6),
 
 
 class TestMutation:
-    """Closed forms off the parabola by 1e-6 fail the 1e-12 bound."""
+    """Closed forms off the parabola by 1e-6 fail the 1e-12 bound.
 
-    @pytest.mark.parametrize("kappa", KAPPAS)
+    Not at kappa = 1000, nor inside at kappa = 120: there float64 loses the
+    shift (p + 1e-6 reads 7e-12 of the scale at the edge at kappa = 1000,
+    and passes the moduli checks at -0.99 and 0.99i at kappa = 120).
+    """
+
+    @pytest.mark.parametrize("kappa", KAPPAS + (0.05, 0.2))
     @pytest.mark.parametrize("mutation", MUTATIONS)
     def test_shift_fails_every_check_inside(self, kappa, mutation, monkeypatch):
         MUTATIONS[mutation](monkeypatch)
@@ -220,7 +225,7 @@ class TestMutation:
             for rep in _operator_checks(kappa, 1 / kappa + 0.25, z):
                 assert not rep["pass"], rep
 
-    @pytest.mark.parametrize("kappa", KAPPAS)
+    @pytest.mark.parametrize("kappa", KAPPAS + (0.05, 0.2, 120.0))
     @pytest.mark.parametrize("mutation", MUTATIONS)
     def test_shift_fails_off_diagonal_at_the_edge(self, kappa, mutation, monkeypatch):
         # on the diagonal at |z| = 0.999 the shift sinks toward roundoff;
@@ -324,7 +329,7 @@ class TestReportFormat:
         G = lambda w: (1 - w) ** 0.5
         rep = rs._operator_report("c", {"kappa": 6.0}, 6.0, 0.5, G, (0.3 + 0.2j,))
         assert list(rep) == ["check", "inputs", "residual", "pass"]
-        assert list(rep["inputs"]) == ["kappa", "scale"] and rep["inputs"]["scale"] >= 1.0
+        assert list(rep["inputs"]) == ["kappa", "scale"] and rep["inputs"]["scale"] > 0
         assert rep["pass"] and rep["residual"] < 1e-12 * rep["inputs"]["scale"]
         rep = rs._operator_report("c", {}, 6.0, 0.5, lambda w: G(w) + 1e-9, (0.3 + 0.2j,))
         assert not rep["pass"]

@@ -184,21 +184,29 @@ def test_perfbench_tracer_wraps_resolve():
     assert int(n_wrapped) > 0 and restored == "True"
 
 
-def _reexports():
-    """(submodule, name) of every name that slelab/__init__.py imports from a submodule."""
+REEXPORTED = ("flow", "moments", "spectrum", "residuals")
+
+
+def test_init_star_imports_each_module():
+    # each module's __all__ is its one list of public names
     tree = ast.parse((SRC / "__init__.py").read_text())
-    return [(node.module, alias.asname or alias.name)
-            for node in tree.body if isinstance(node, ast.ImportFrom) and node.level == 1
-            for alias in node.names]
+    imports = [(node.module, [alias.name for alias in node.names])
+               for node in tree.body if isinstance(node, ast.ImportFrom)]
+    assert imports == [(module, ["*"]) for module in REEXPORTED]
 
 
-def test_reexports_match_submodule_all():
-    reexports = _reexports()
-    assert reexports
-    unlisted = [f"{module}.{name}" for module, name in reexports
-                if name not in importlib.import_module(f"slelab.{module}").__all__]
-    assert not unlisted, f"re-exported by slelab but not in the submodule's __all__: {unlisted}"
-    missing = [f"{module}.{name}" for module in sorted({m for m, _ in reexports})
+def test_every_public_name_is_reexported():
+    missing = [f"{module}.{name}" for module in REEXPORTED
                for name in importlib.import_module(f"slelab.{module}").__all__
                if not hasattr(slelab, name)]
     assert not missing, f"in a submodule's __all__ but not an attribute of slelab: {missing}"
+
+
+def test_a_name_listed_twice_is_one_object():
+    # a later star import would silently shadow a different object of the
+    # same name; today moments and spectrum both list parabola_point
+    shadowed = [f"{module}.{name}" for module in REEXPORTED
+                for mod in [importlib.import_module(f"slelab.{module}")]
+                for name in mod.__all__
+                if getattr(mod, name) is not getattr(slelab, name, None)]
+    assert not shadowed, f"not the object slelab exports under that name: {shadowed}"
