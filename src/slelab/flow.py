@@ -317,6 +317,23 @@ def _blocks(theta, n_steps):
             yield b0, b1, np.ascontiguousarray(cols[:, b0 - c0:b1 - c0 + 1].T)[..., None]
 
 
+def _batch_shaped(lam, shape):
+    """The driving points lam (n_paths, 1) copied to the batch's shape, so
+    that no RK4 stage broadcasts them over an inner loop n_points long; a
+    one-point batch has that shape already."""
+    if lam.shape == shape:
+        return lam
+    out = np.empty(shape, dtype=complex)
+    np.copyto(out, lam)
+    return out
+
+
+def _near(w, lam):
+    """The (rows, cols) of the path·points within ``_SINGULAR_DELTA`` of
+    their driving point."""
+    return np.nonzero(np.abs(w - lam) < _SINGULAR_DELTA)
+
+
 def _split_near(rows, cols, state, out, th0, slope, lam0, lam1, macro, t0):
     """Re-integrate the path·points (rows, cols) over one macro step from
     ``state`` into ``out``, both (w, logderiv, logratio, |w|); return the
@@ -367,10 +384,13 @@ def evolve(path: DrivingPath, cfg: SimConfig, points) -> WholePlaneSample:
     Brownian step; the log-derivative and log-ratio are integrated
     alongside so no complex logarithm is ever taken.
 
-    Each macro step is one RK4 step of the batch; ``_split_near`` then
-    re-integrates the path·points that start it within ``_SINGULAR_DELTA``
-    of their driving point, so each gives the same bits alone and in any
-    batch.
+    Each macro step is one RK4 step of the batch, its driving points
+    copied to the batch's shape; ``_split_near`` then re-integrates the
+    path·points that start it within ``_SINGULAR_DELTA`` of their driving
+    point, so each gives the same bits alone and in any batch.  At each
+    block's start the distances to the driving point stop being scanned
+    for good once the running bound 1 - max|w| - (steps left) *
+    ``_MONOTONE_SLACK`` >= ``_SINGULAR_DELTA`` shows no step left can split.
     """
     z0 = _checked_points(cfg, points)
     t = path.times
@@ -384,26 +404,33 @@ def evolve(path: DrivingPath, cfg: SimConfig, points) -> WholePlaneSample:
     ld = np.zeros_like(w)
     lr = np.zeros_like(w)
     absw = np.abs(w)
+    shape = w.shape
     n_steps = len(t) - 1
-    # The monotone check below keeps |w| <= max|z0| + n_steps * slack, and
-    # |w - lam| >= 1 - |w|: when that stays >= delta no step can be split,
-    # and the distances to the driving point need not be computed.
-    scan = 1.0 - np.max(np.abs(z0), initial=0.0) - n_steps * _MONOTONE_SLACK < _SINGULAR_DELTA
+    scan = True
     substeps = 0
 
     for b0, b1, thb in _blocks(path.theta, n_steps):
+        # The monotone check below keeps |w| <= max|w| + (steps left) * slack,
+        # and |w - lam| >= 1 - |w|: once that stays >= delta no step left can
+        # be split, and the distances to the driving point are not computed
+        # again.
+        scan = scan and (1.0 - np.max(absw, initial=0.0) - (n_steps - b0) * _MONOTONE_SLACK
+                         < _SINGULAR_DELTA)
         dt = np.diff(t[b0:b1 + 1])[:, None, None]
         slope = (thb[1:] - thb[:-1]) / dt
         lam = _unit(thb)
         lam_mid = _unit(thb[:-1] + slope * (dt / 2))
+        lam1 = _batch_shaped(lam[0], shape)
         for j, macro in enumerate(dt.ravel().tolist()):
             state = w, ld, lr, absw
-            w, ld, lr = _rk4_substep(w, ld, lr, lam[j], lam_mid[j], lam[j + 1], macro)
+            lam0, lam1 = lam1, _batch_shaped(lam[j + 1], shape)
+            # the half-step copy is freed with the stages that read it
+            w, ld, lr = _rk4_substep(w, ld, lr, lam0, _batch_shaped(lam_mid[j], shape), lam1, macro)
             substeps += 1
             absw = np.abs(w)
             ok = absw <= state[3] + _MONOTONE_SLACK
             if scan:
-                rows, cols = np.nonzero(np.abs(state[0] - lam[j]) < _SINGULAR_DELTA)
+                rows, cols = _near(state[0], lam0)
                 ok[rows, cols] = True             # checked sub-step by sub-step
             if not ok.all():
                 raise SingularityError(f"|w| failed to decrease at t={float(t[b0 + j])!r}; "
@@ -444,8 +471,10 @@ def sample_ensemble(cfg: SimConfig, points, n_samples: int, workers: int = 1) ->
         return evolve(DrivingPath(times=_time_grid(cfg), theta=_DrawnTheta(cfg, count, first),
                                   first=first), cfg, points)
 
-    with ThreadPoolExecutor(max_workers=workers) as pool:  # one worker: no thread, less memory
-        parts = list((pool.map if workers > 1 else map)(run, range(0, n_samples, _BATCH_PATHS)))
+    firsts = range(0, n_samples, _BATCH_PATHS)
+    # one worker or one batch: no thread, less memory
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        parts = list((pool.map if workers > 1 and len(firsts) > 1 else map)(run, firsts))
     w, ld, lr = (np.concatenate([getattr(p, name) for p in parts])
                  for name in ("w", "logderiv", "logratio"))
     return WholePlaneSample(z=parts[0].z, w=w, logderiv=ld, logratio=lr, config=cfg,

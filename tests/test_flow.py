@@ -167,6 +167,17 @@ class TestDriver:
         assert peaks[0] <= 16e6
         assert abs(peaks[0] - peaks[1]) <= 1e6
 
+    def test_driving_point_copies_stay_small(self):
+        # each step copies its driving points to the batch's (paths, points)
+        # shape, 128 kB each at 1000 x 8.  Without the copies this batch
+        # peaked at 10.65 MB (NumPy 2.4.6); two copies live at once may add
+        # 2 x 128 kB.  A per-block copy would add 8 MB.
+        cfg = small_cfg(kappa=6.0, horizon_T=2.0, dt=1e-3, seed=26)
+        ring = 0.5 * np.exp(2j * np.pi * np.arange(8) / 8)
+        peak, sample = traced_peak(sample_ensemble, cfg, ring, 1000)
+        assert sample.w.shape == (1000, 8)
+        assert peak <= 10.65e6 + 2 * 128e3 + 40e3
+
     def test_refinement_is_the_only_large_array(self):
         cfg = small_cfg(kappa=6.0, horizon_T=8.0, dt=4e-3, seed=24)
         path = sample_driver(cfg, n_paths=700)
@@ -452,6 +463,31 @@ class TestSubsteps:
         assert len(calls) - len(split) == cfg.n_steps
         assert split and max(split) <= 16
 
+    def test_scan_stops_without_changing_a_bit(self, monkeypatch):
+        # once every path·point of the ring has moved inside 1 - delta for
+        # the steps left, no step can split and |w - lam| is not scanned
+        # again; a slack too large for that bound ever to hold scans every
+        # step and gives the same bits
+        scans = []
+        original = flow._near
+
+        def recording(w, lam):
+            scans.append(None)
+            return original(w, lam)
+
+        monkeypatch.setattr(flow, "_near", recording)
+        cfg = small_cfg(kappa=6.0, horizon_T=3.0, dt=1e-3, seed=5, r_max=0.99)
+        path = sample_driver(cfg, n_paths=16)
+        stopped = evolve(path, cfg, RING)
+        n_stopped = len(scans)
+        scans.clear()
+        monkeypatch.setattr(flow, "_MONOTONE_SLACK", 1.0)
+        scanned = evolve(path, cfg, RING)
+        assert len(scans) == cfg.n_steps
+        assert 0 < n_stopped < cfg.n_steps and n_stopped % flow._BLOCK_STEPS == 0
+        assert stopped.substeps == scanned.substeps > cfg.n_steps
+        assert same_bits(states_of(stopped), states_of(scanned))
+
     def test_empty_batch_near_the_circle(self):
         # no path·point of an empty batch comes near its driving point
         cfg = small_cfg(kappa=6.0, horizon_T=0.1, dt=1e-3, r_max=0.99)
@@ -504,6 +540,8 @@ def states_of(s):
 
 
 NEAR_POINTS = [0.97, 0.95j, 0.9, 0.97 * np.exp(0.3j)]
+# eight points at |z| = 0.97, the ring of perfbench's near-circle ensemble
+RING = 0.97 * np.exp(2j * np.pi * np.arange(8) / 8)
 
 
 class TestNearCircleBatchInvariance:
@@ -518,6 +556,7 @@ class TestNearCircleBatchInvariance:
         (2.0, 0.5, 7, [0.97], range(7)),
         (6.0, 0.5, 1, NEAR_POINTS[::-1], (0,)),
         (2.0, 0.5, 1, [-0.9, 0.95], (0,)),
+        (6.0, 3.0, 16, RING, (0, 15)),
     ])
     def test_alone_equals_batch(self, kappa, T, n_paths, points, checked):
         path = probe_driver(kappa, n_paths, T)
@@ -618,9 +657,11 @@ class TestSamples:
         with pytest.raises(ConfigError, match="n_samples must be >= 0"):
             sample_ensemble(small_cfg(), [0.2], -1)
 
-    @pytest.mark.parametrize("workers", [1, 2])
-    def test_one_worker_runs_in_the_calling_thread(self, monkeypatch, workers):
-        # a pool thread costs peak memory that one worker does not need
+    @pytest.mark.parametrize("workers, n_samples", [(1, 5), (2, 5), (2, 2)],
+                             ids=["1", "2", "2-one-batch"])
+    def test_one_worker_runs_in_the_calling_thread(self, monkeypatch, workers, n_samples):
+        # a pool thread costs peak memory that one worker, or one batch,
+        # does not need
         caller = threading.current_thread()
         in_caller = set()
         original = flow.evolve
@@ -631,8 +672,8 @@ class TestSamples:
 
         monkeypatch.setattr(flow, "evolve", recording)
         monkeypatch.setattr(flow, "_BATCH_PATHS", 2)
-        sample_ensemble(small_cfg(horizon_T=0.1), [0.2], 5, workers=workers)
-        assert in_caller == {workers == 1}
+        sample_ensemble(small_cfg(horizon_T=0.1), [0.2], n_samples, workers=workers)
+        assert in_caller == {workers == 1 or n_samples <= 2}
 
     @pytest.mark.parametrize("workers", [0, -3])
     def test_bad_worker_count_rejected(self, workers):
