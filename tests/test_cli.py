@@ -301,6 +301,21 @@ class TestExitCodes:
         assert capsys.readouterr().err.startswith("error: horizon_T must be finite and > 0")
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv", [
+        ["moments", "--z", "0.5", "--n-samples", "2", "--T", "0.01", "--dt", "1e-320"],
+        ["simulate", "--z", "0.5", "--n-samples", "2", "--T", "0.01", "--dt", "5e-324"],
+        ["diagnose", "--z", "0.5", "--n-samples", "2", "--T-list", "0.01", "--dt", "1e-320"],
+    ])
+    def test_step_count_overflow_is_1(self, argv, tmp_path, capsys):
+        # T / dt is inf: a validation error, not a failure to count the steps
+        out = tmp_path / "out.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(argv + ["--output", str(out)]) == 1
+        assert capsys.readouterr().err == (f"error: dt={float(argv[-1])} makes the step count "
+                                           "horizon_T / dt overflow\n")
+        assert not out.exists()
+
     @pytest.mark.parametrize("n_r", ["0", "1", "2"])
     def test_means_scan_short_radius_grid_is_1(self, n_r, tmp_path, capsys):
         out = tmp_path / "out.csv"

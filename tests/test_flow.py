@@ -49,6 +49,15 @@ def same_bits(a, b):
     return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
 
 
+def states_of(s):
+    return np.stack([s.w, s.logderiv, s.logratio])
+
+
+NEAR_POINTS = [0.97, 0.95j, 0.9, 0.97 * np.exp(0.3j)]
+# eight points at |z| = 0.97, the ring of perfbench's near-circle ensemble
+RING = 0.97 * np.exp(2j * np.pi * np.arange(8) / 8)
+
+
 def traced_peak(fn, *args):
     """Peak bytes that ``fn(*args)`` allocates, as tracemalloc sees them, and its result."""
     tracemalloc.start()
@@ -79,6 +88,7 @@ class TestConfig:
         dict(r_max=0.0), dict(r_max=1.0),
         dict(kappa=float("inf")), dict(horizon_T=float("inf")),
         dict(horizon_T=float("inf"), dt=float("inf")),
+        dict(dt=1e-320), dict(horizon_T=0.01, dt=5e-324),
     ])
     def test_invalid_config_rejected(self, kw):
         with pytest.raises(ConfigError):
@@ -169,14 +179,20 @@ class TestDriver:
 
     def test_driving_point_copies_stay_small(self):
         # each step copies its driving points to the batch's (paths, points)
-        # shape, 128 kB each at 1000 x 8.  Without the copies this batch
-        # peaked at 10.65 MB (NumPy 2.4.6); two copies live at once may add
-        # 2 x 128 kB.  A per-block copy would add 8 MB.
+        # shape, 128 kB each at 1000 x 8.  With 16-step blocks this batch
+        # peaked at 8.03 MB (NumPy 2.4.6), against 10.91 MB with 64-step
+        # blocks; two more copies live at once may add 2 x 128 kB.  A
+        # per-block copy would add 2 MB.  Two workers run two batches at
+        # once, and tracemalloc sees both threads.
         cfg = small_cfg(kappa=6.0, horizon_T=2.0, dt=1e-3, seed=26)
         ring = 0.5 * np.exp(2j * np.pi * np.arange(8) / 8)
+        bound = 8.03e6 + 2 * 128e3 + 40e3
         peak, sample = traced_peak(sample_ensemble, cfg, ring, 1000)
         assert sample.w.shape == (1000, 8)
-        assert peak <= 10.65e6 + 2 * 128e3 + 40e3
+        assert peak <= bound
+        peak, sample = traced_peak(lambda: sample_ensemble(cfg, ring, 2000, workers=2))
+        assert sample.w.shape == (2000, 8)
+        assert peak <= 2 * bound
 
     def test_refinement_is_the_only_large_array(self):
         cfg = small_cfg(kappa=6.0, horizon_T=8.0, dt=4e-3, seed=24)
@@ -415,10 +431,10 @@ class TestKernel:
     @pytest.mark.parametrize("T, dt", [(1.0, 0.3), (1.325, 0.01), (0.512, 1e-3),
                                        (1.3255, 1e-3), (8.0, 1e-3)])
     def test_ragged_step_and_partial_block(self, monkeypatch, T, dt):
-        # 4 steps, the last 0.1 long; 133 steps, two blocks of 64 and a
-        # third of 5, the last step 0.005 long; exactly one chunk of 512
+        # 4 steps, the last 0.1 long; 133 steps, eight blocks of 16 and a
+        # ninth of 5, the last step 0.005 long; exactly one chunk of 512
         # steps; 1326 steps, two chunks and a third of 302 steps, its last
-        # block of 46 and its last step 5e-4 long; 8000 steps, 16 chunks
+        # block of 14 and its last step 5e-4 long; 8000 steps, 16 chunks
         cfg = small_cfg(kappa=3.0, horizon_T=T, dt=dt, seed=13)
         path = sample_driver(cfg, n_paths=3)
         assert path.times[-1] == T
@@ -435,6 +451,29 @@ class TestKernel:
         assert streamed.substeps == 2 * cfg.n_steps
         for name in ("w", "logderiv", "logratio"):
             assert same_bits(getattr(streamed, name), getattr(states, name))
+
+    # steps split on the ring, and not at the bulk points
+    @pytest.mark.parametrize("points, split", [(RING, True), ([0.5, 0.3j, -0.6 + 0.2j], False)],
+                             ids=["ring", "bulk"])
+    def test_bits_do_not_depend_on_buffer_sizes(self, monkeypatch, points, split):
+        # blocks of 1, 7, 16 and 64 steps in chunks of 20 steps, which 7
+        # does not divide, and of 512; 1326 steps end in a 5e-4 step
+        cfg = small_cfg(kappa=6.0, horizon_T=1.3255, dt=1e-3, seed=31, r_max=0.99)
+
+        def run():
+            ensemble = sample_ensemble(cfg, points, 16)
+            batch = evolve(sample_driver(cfg, n_paths=16), cfg, points)
+            return (states_of(ensemble), ensemble.substeps), (states_of(batch), batch.substeps)
+
+        expected = run()
+        assert [(substeps > cfg.n_steps) for _, substeps in expected] == [split, split]
+        for block in (1, 7, 16, 64):
+            for chunk in (20, 512):
+                monkeypatch.setattr(flow, "_BLOCK_STEPS", block)
+                monkeypatch.setattr(flow, "_CHUNK_STEPS", chunk)
+                for (got, got_substeps), (ref, ref_substeps) in zip(run(), expected):
+                    assert got_substeps == ref_substeps
+                    assert same_bits(got, ref), (block, chunk)
 
 
 class TestSubsteps:
@@ -533,15 +572,6 @@ def probe_driver(kappa, n_paths, T=2.0, dt=1e-3):
             * np.sqrt(kappa * np.diff(times)))
     theta = np.concatenate([np.zeros((n_paths, 1)), np.cumsum(incr, axis=1)], axis=1)
     return flow.DrivingPath(times=times, theta=theta)
-
-
-def states_of(s):
-    return np.stack([s.w, s.logderiv, s.logratio])
-
-
-NEAR_POINTS = [0.97, 0.95j, 0.9, 0.97 * np.exp(0.3j)]
-# eight points at |z| = 0.97, the ring of perfbench's near-circle ensemble
-RING = 0.97 * np.exp(2j * np.pi * np.arange(8) / 8)
 
 
 class TestNearCircleBatchInvariance:

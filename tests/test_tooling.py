@@ -5,13 +5,14 @@ import importlib
 import json
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
 import pytest
 
 import slelab
-from slelab import cli
+from slelab import cli, flow
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "slelab"
 
@@ -100,6 +101,16 @@ def test_every_handler_is_a_function_of_cli():
     missing = [name for _, name, _ in cli._COMMANDS.values()
                if not callable(getattr(cli, name, None))]
     assert missing == []
+
+
+def test_readme_quotes_the_flow_buffer_sizes():
+    # README gives each batch and buffer size as "N steps" or "N paths"
+    # before the constant's name, so none can change without its doc
+    text = (SRC.parents[1] / "README.md").read_text()
+    for name in ("_BLOCK_STEPS", "_CHUNK_STEPS", "_BATCH_PATHS"):
+        quoted = re.findall(rf"(\d+) (?:steps|paths)(?: at a\s+time)?\s+\(`{name}`", text)
+        assert len(quoted) == text.count(f"`{name}`") > 0, name
+        assert {int(n) for n in quoted} == {getattr(flow, name)}, name
 
 
 _CLI_CALLS = [
